@@ -6,14 +6,12 @@ no-op NullTracer behind a context-variable lookup.  Claims: (1) a clean
 10k-eval batch with no ``trace()`` block active runs within 5% of what
 it would cost without any tracer machinery in the way — measured as
 traced-off vs traced-on, the off path being the shipping default; (2)
-outputs are bit-identical with tracing on and off; (3) the deprecated
-``strategy=`` solver kwarg is bit-identical to ``method=``.
+outputs are bit-identical with tracing on and off.
 """
 
 import time
 
 import numpy as np
-import pytest
 
 from conftest import print_table, write_record
 from repro.engine import evaluate_batch
@@ -119,28 +117,3 @@ def test_traced_chunk_spans_cover_every_task():
     assert sum(c.attributes["tasks"] for c in chunks) == N_CLEAN
     assert batch.stats.n_tasks == N_CLEAN
     assert t.metrics.counter("engine.tasks").value == N_CLEAN
-
-
-def test_deprecated_strategy_bit_identical_to_method():
-    """strategy= (deprecated) and method= produce bit-identical vectors."""
-    lam, mu = 1e-8, 10.0
-    q = np.array(
-        [
-            [-2 * lam, 2 * lam, 0.0],
-            [mu, -(mu + lam), lam],
-            [0.0, mu, -mu],
-        ]
-    )
-    rows = []
-    for name in ("auto", "gth", "direct", "power"):
-        new = solve_steady_state(q, method=name)
-        with pytest.warns(DeprecationWarning):
-            old = solve_steady_state(q, strategy=name)  # noqa: R001 (deprecation bit-identity)
-        identical = np.array_equal(old.pi, new.pi)
-        rows.append((name, new.method, identical))
-        assert identical, f"strategy={name!r} diverged from method={name!r}"
-    print_table(
-        "E32: deprecated strategy= vs method= (bit-identity)",
-        ["requested", "winning stage", "bit-identical"],
-        rows,
-    )

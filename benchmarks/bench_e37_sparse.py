@@ -1,4 +1,4 @@
-"""E37 — large-state-space solver path: lazy generation + sparse backends.
+"""E37 — large-state-space solver path: CSR generation + sparse backends.
 
 Scalability claims on the NFV service-chain zoo
 (:mod:`repro.casestudies.nfvchain`): (1) a ≥10^5-state chain generates
@@ -10,9 +10,9 @@ backend and matches the independent-stages analytic oracle, and
 transient through ``solve_transient`` auto-selects Krylov stepping and
 matches the per-stage transient product; (3) the memory guard turns a
 would-be blow-up into a clean :class:`~repro.exceptions.StateSpaceError`;
-(4) on small models the lazy path is *bit-identical* to the eager
-dict-built path — same BFS order, same triplet order, same generator
-bytes.
+(4) on small models the BFS-generated chain is *bit-identical*, up to
+a state permutation, to the vectorized product-form generator — same
+generator bytes from two constructions that share no code.
 
 Wall-clock, states/sec and peak-RSS land in ``BENCH_e37.json``.  The
 module doubles as the CI smoke gate::
@@ -172,18 +172,33 @@ def test_memory_guard_raises_cleanly():
         raise AssertionError("memory guard did not fire at a 0.25 MB budget")
 
 
-def test_small_model_lazy_eager_bit_identical():
-    """Default 64-state spec: lazy CSR == eager CSR, byte for byte."""
+def test_small_model_bfs_product_form_bit_identical():
+    """Default 64-state spec: BFS CSR == product-form CSR, byte for byte.
+
+    The reference is :func:`nfvchain.build_nfv_generator`, the vectorized
+    mixed-radix construction with no Petri net and no BFS.  BFS marking
+    ``m`` sits at product-form index ``Σ_i m[up{i}] · (replicas+1)^i``;
+    permuting the BFS generator into that order must reproduce the
+    reference's ``indptr``/``indices``/``data`` bytes and up mask.
+    """
     spec = nfvchain.NFVChainSpec()
-    eager = nfvchain.build_nfv_srn(spec, lazy=False).chain.generator().tocsr()
-    lazy = nfvchain.build_nfv_srn(spec).chain.generator().tocsr()
-    eager.sort_indices()
-    lazy.sort_indices()
-    assert eager.shape == lazy.shape
-    assert eager.indptr.tobytes() == lazy.indptr.tobytes()
-    assert eager.indices.tobytes() == lazy.indices.tobytes()
-    assert eager.data.tobytes() == lazy.data.tobytes()
-    RECORD["bit_identity"] = {"n_states": eager.shape[0], "identical": True}
+    reference, reference_up = nfvchain.build_nfv_generator(spec)
+    chain = nfvchain.build_nfv_srn(spec).chain
+    radix = spec.replicas + 1
+    position = np.array(
+        [sum(m[f"up{i}"] * radix**i for i in range(spec.n_vnfs)) for m in chain.states]
+    )
+    order = np.argsort(position)  # order[j]: the BFS state at product index j
+    bfs = chain.generator()[order][:, order].tocsr()
+    reference = reference.tocsr()
+    bfs.sort_indices()
+    reference.sort_indices()
+    assert bfs.shape == reference.shape
+    assert bfs.indptr.tobytes() == reference.indptr.tobytes()
+    assert bfs.indices.tobytes() == reference.indices.tobytes()
+    assert bfs.data.tobytes() == reference.data.tobytes()
+    assert np.array_equal(chain.up_mask[order], reference_up)
+    RECORD["bit_identity"] = {"n_states": bfs.shape[0], "identical": True}
     _persist()
 
 

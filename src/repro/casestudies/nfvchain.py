@@ -11,11 +11,11 @@ product space has ``(replicas + 1) ** n_vnfs`` tangible markings.
 
 That product growth is the point: the spec dials smoothly from 64
 states (defaults) to 10^5–10^6+, which makes this the standard workout
-for the lazy reachability + sparse solver path.  Three independent
+for the CSR reachability + sparse solver path.  Three independent
 routes to the same availability number keep the big runs honest:
 
-* :func:`build_nfv_srn` — the SRN (Petri-net) model, ``lazy=True`` by
-  default, solved through the standard front doors;
+* :func:`build_nfv_srn` — the SRN (Petri-net) model, solved through
+  the standard front doors;
 * :func:`build_nfv_generator` — a vectorized mixed-radix construction
   of the very same CSR generator, no Petri net and no BFS, for
   benchmarking the solvers in isolation;
@@ -137,29 +137,24 @@ def _up_condition(spec: NFVChainSpec):
 
 def build_nfv_srn(
     spec: NFVChainSpec = NFVChainSpec(),
-    lazy: bool = True,
-    **lazy_options,
+    **options,
 ) -> StochasticRewardNet:
     """The SRN over :func:`build_nfv_net`.
 
-    ``lazy=True`` (the default — this is the large-state-space zoo)
-    attaches the service up-condition during generation so the
+    The service up-condition is attached during generation, so the
     resulting :class:`~repro.sparse.SparseCTMC` carries its up mask.
+    Extra options go to :class:`~repro.petrinet.StochasticRewardNet`.
     """
-    if lazy:
-        lazy_options.setdefault("up", _up_condition(spec))
-    return StochasticRewardNet(build_nfv_net(spec), lazy=lazy, **lazy_options)
+    options.setdefault("up", _up_condition(spec))
+    return StochasticRewardNet(build_nfv_net(spec), **options)
 
 
 def build_nfv_model(
     spec: NFVChainSpec = NFVChainSpec(),
-    lazy: bool = True,
-    **lazy_options,
+    **options,
 ) -> SRNDependabilityModel:
     """The dependability adapter (availability / reliability / MTTF)."""
-    return SRNDependabilityModel(
-        build_nfv_srn(spec, lazy=lazy, **lazy_options), _up_condition(spec)
-    )
+    return SRNDependabilityModel(build_nfv_srn(spec, **options), _up_condition(spec))
 
 
 def build_nfv_generator(
@@ -176,8 +171,8 @@ def build_nfv_generator(
     intermediate.  Returns ``(Q, up_mask)``.
 
     The state *indexing* differs from the BFS order of
-    :func:`build_nfv_srn`; cross-validation therefore compares
-    measures (availability), not matrix entries.
+    :func:`build_nfv_srn`: a BFS marking ``m`` sits at product-form
+    index ``Σ_i m[up{i}] · (replicas + 1)^i``.
     """
     n = state_count(spec)
     radix = spec.replicas + 1
@@ -226,7 +221,7 @@ def _nfv_rate_terms(spec: NFVChainSpec):
     ``min(#down{i}, crews) × repair_rate`` — ``Scaled`` multiplies
     ``factor × value``, which is bit-identical to the net's
     ``rate × count`` closures (IEEE multiplication commutes), so a
-    compiled refill at the build rates reproduces the lazy generator's
+    compiled refill at the build rates reproduces the generated chain's
     ``data`` bytes exactly.
     """
     from ..compile.ctmc import Scaled
@@ -257,7 +252,7 @@ _STRUCTURE_LOCK = threading.Lock()
 def compile_nfv_chain(spec: NFVChainSpec = NFVChainSpec()) -> "CompiledSparseCTMC":
     """The compiled (build-once, fill-many) form of the NFV chain.
 
-    Runs lazy BFS reachability **once** per count signature
+    Runs BFS reachability **once** per count signature
     ``(n_vnfs, replicas, min_replicas, repair_crews)``, recording each
     transition's symbolic rate term, and memoizes the resulting
     :class:`~repro.compile.sparse.CompiledSparseCTMC` in a bounded LRU

@@ -408,8 +408,8 @@ def supports_compilation(target) -> bool:
 
     Covers already-compiled evaluators, callables advertising
     ``__compiles_to__``, the case-study names, the directly compilable
-    model objects (CTMC / sparse CTMC / RBD / fault tree), and lazy
-    SRNs (whose chain is an already-frozen sparse CTMC).
+    model objects (CTMC / sparse CTMC / RBD / fault tree), and SRNs
+    (whose chain is an already-frozen sparse CTMC).
     """
     from ..markov.ctmc import CTMC
     from ..nonstate.faulttree import FaultTree
@@ -418,11 +418,17 @@ def supports_compilation(target) -> bool:
     from ..sparse.ctmc import SparseCTMC
 
     if isinstance(
-        target, (CompiledEvaluator, CTMC, SparseCTMC, ReliabilityBlockDiagram, FaultTree)
+        target,
+        (
+            CompiledEvaluator,
+            CTMC,
+            SparseCTMC,
+            StochasticRewardNet,
+            ReliabilityBlockDiagram,
+            FaultTree,
+        ),
     ):
         return True
-    if isinstance(target, StochasticRewardNet):
-        return bool(target.lazy)
     if isinstance(target, str):
         return target in _NAMED_MODELS
     return getattr(target, "__compiles_to__", None) is not None
@@ -448,10 +454,8 @@ def compile_model(target):
           generator is already structure-and-value frozen, so it *is*
           its own compiled form (and carries ``__ship_once__`` for the
           process pool);
-        * a lazy :class:`~repro.petrinet.srn.StochasticRewardNet` — its
-          generated chain, which is exactly such a sparse CTMC (eager
-          SRNs are rejected: their dict-built chains re-derive rates
-          from live marking closures);
+        * a :class:`~repro.petrinet.srn.StochasticRewardNet` — its
+          generated chain, which is exactly such a sparse CTMC;
         * a :class:`~repro.nonstate.ReliabilityBlockDiagram` or
           :class:`~repro.nonstate.FaultTree` →
           :class:`CompiledStructureFunction`.
@@ -480,11 +484,6 @@ def compile_model(target):
     from ..sparse.ctmc import SparseCTMC
 
     if isinstance(target, StochasticRewardNet):
-        if not target.lazy:
-            raise ModelDefinitionError(
-                "cannot compile an eager SRN; regenerate with lazy=True so the "
-                "chain is a structure-frozen SparseCTMC"
-            )
         return target.chain
     if isinstance(target, SparseCTMC):
         return target

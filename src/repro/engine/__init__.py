@@ -21,7 +21,7 @@ designs — routes through :func:`evaluate_batch`, which composes
 """
 
 from .batch import BatchResult, evaluate_batch
-from .cache import EvaluationCache, canonical_point_key, freeze_assignment
+from .cache import EvaluationCache, canonical_point_key
 from .campaign import (
     CampaignResult,
     CampaignSpec,
@@ -50,7 +50,6 @@ __all__ = [
     "resolve_options",
     "EvaluationCache",
     "canonical_point_key",
-    "freeze_assignment",
     "Executor",
     "SerialExecutor",
     "ThreadExecutor",

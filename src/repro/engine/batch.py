@@ -20,7 +20,7 @@ import numpy as np
 from ..exceptions import ModelDefinitionError
 from ..obs.trace import activate_tracer, get_tracer
 from ..robust.policy import ErrorRecord, FaultPolicy
-from .cache import EvaluationCache, freeze_assignment
+from .cache import EvaluationCache, canonical_point_key
 from .executors import Executor, resolve_executor, spawn_generators
 from .options import EngineOptions, resolve_options
 from .stats import EngineStats
@@ -348,7 +348,7 @@ def _evaluate_resolved(
     to_evaluate: List[Tuple[Tuple, Mapping[str, float]]] = []
     hits = 0
     for i, assignment in enumerate(assignments):
-        key = freeze_assignment(assignment)
+        key = canonical_point_key(assignment)
         found, value = cache.peek(key)
         if found:
             outputs[i] = value

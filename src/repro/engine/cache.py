@@ -18,7 +18,7 @@ from typing import Callable, Mapping, Optional, Tuple
 
 from ..exceptions import ModelDefinitionError
 
-__all__ = ["EvaluationCache", "canonical_point_key", "freeze_assignment"]
+__all__ = ["EvaluationCache", "canonical_point_key"]
 
 Key = Tuple[Tuple[str, float], ...]
 
@@ -34,8 +34,7 @@ def canonical_point_key(assignment: Mapping[str, float]) -> Key:
     representation of the same mathematical point maps to the same key.
 
     This is the *single* key function for memoized parameter points:
-    :class:`EvaluationCache` uses it (via its :func:`freeze_assignment`
-    alias), and so does the :class:`repro.serve.ResultCache` — one
+    :class:`EvaluationCache` uses it, and so does the :class:`repro.serve.ResultCache` — one
     definition, so the two can never drift.
 
     Examples
@@ -46,13 +45,6 @@ def canonical_point_key(assignment: Mapping[str, float]) -> Key:
     True
     """
     return tuple(sorted((str(k), float(v) + 0.0) for k, v in assignment.items()))
-
-
-#: The engine cache's historical key-function name.  Deliberately a
-#: module-level alias of :func:`canonical_point_key` (not a wrapper), so
-#: the ``EvaluationCache`` keys and any other consumer of the canonical
-#: helper are bit-identical by construction.
-freeze_assignment = canonical_point_key
 
 
 class EvaluationCache:
@@ -94,7 +86,7 @@ class EvaluationCache:
         return len(self._data)
 
     def __contains__(self, assignment: Mapping[str, float]) -> bool:
-        return freeze_assignment(assignment) in self._data
+        return canonical_point_key(assignment) in self._data
 
     @property
     def hit_rate(self) -> float:
@@ -149,7 +141,7 @@ class EvaluationCache:
         """
 
         def cached_evaluate(assignment: Mapping[str, float]) -> float:
-            key = freeze_assignment(assignment)
+            key = canonical_point_key(assignment)
             found, value = self.peek(key)
             if found:
                 self.count_hits(1)

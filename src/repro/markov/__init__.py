@@ -14,7 +14,6 @@ from .fallback import (
     SolverAttempt,
     SolverReport,
     generator_diagnostics,
-    resolve_method_kwarg,
     solve_steady_state,
 )
 from .mrgp import GeneralTransition, MarkovRegenerativeProcess
@@ -70,7 +69,6 @@ __all__ = [
     "SolverAttempt",
     "SolverReport",
     "solve_steady_state",
-    "resolve_method_kwarg",
     "SolverMethod",
     "SolverRegistry",
     "STEADY_STATE",

@@ -238,20 +238,17 @@ class CTMC:
             tracer.metrics.counter("solver.stage.success", method=method).inc()
         return {state: float(pi[i]) for state, i in self._index.items()}
 
-    def steady_state_report(self, method: str = None, strategy: str = None, **kwargs):
+    def steady_state_report(self, method: str = "auto", **kwargs):
         """Stationary solve with full fallback diagnostics.
 
         Runs :func:`~repro.markov.fallback.solve_steady_state` on the
         generator and returns its :class:`~repro.markov.fallback.SolverReport`
         (``report.pi`` follows :attr:`states` order; extra keyword
         arguments — ``order``, ``residual_tol``, ``stages``, ... — are
-        forwarded).  ``method`` defaults to ``"auto"``; the pre-unification
-        spelling ``strategy=`` keeps working with a
-        :class:`DeprecationWarning`.
+        forwarded).
         """
-        from .fallback import resolve_method_kwarg, solve_steady_state
+        from .fallback import solve_steady_state
 
-        method = resolve_method_kwarg(method, strategy, "steady_state_report")
         return solve_steady_state(self.generator(), method=method, **kwargs)
 
     def expected_reward_rate(

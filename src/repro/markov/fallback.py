@@ -17,7 +17,6 @@ solved by the second-choice method instead of silently diverging.
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import asdict, dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -36,7 +35,6 @@ __all__ = [
     "SolverAttempt",
     "SolverReport",
     "solve_steady_state",
-    "resolve_method_kwarg",
 ]
 
 @dataclass(frozen=True)
@@ -246,46 +244,15 @@ def _relative_residual(q: sparse.csr_matrix, pi: np.ndarray, max_rate: float) ->
     return float(residual.max()) / max(1.0, max_rate)
 
 
-def resolve_method_kwarg(
-    method: Optional[str],
-    strategy: Optional[str],
-    function: str,
-    default: str = "auto",
-) -> str:
-    """Fold the deprecated ``strategy=`` kwarg into ``method=``.
-
-    The shim behind the library-wide solver API unification: ``method=``
-    is the one spelling (matching :meth:`CTMC.steady_state` and
-    :meth:`CTMC.transient`), ``strategy=`` keeps working with a
-    :class:`DeprecationWarning`, and passing both with different values
-    is an error.
-    """
-    if strategy is not None:
-        warnings.warn(
-            f"{function}(strategy=...) is deprecated; use method=... "
-            f"(same values, same semantics)",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        if method is not None and method != strategy:
-            raise ModelDefinitionError(
-                f"{function}() got both method={method!r} and the deprecated "
-                f"strategy={strategy!r}; pass method= only"
-            )
-        return strategy
-    return default if method is None else method
-
-
 def solve_steady_state(
     generator,
-    method: Optional[str] = None,
+    method: str = "auto",
     order: Optional[Sequence[str]] = None,
     residual_tol: float = 1e-8,
     dense_limit: int = 2000,
     stiffness_threshold: float = 1e8,
     iterative_limit: int = 50_000,
     stages: Optional[Mapping[str, Callable]] = None,
-    strategy: Optional[str] = None,
     diagnostics: str = "ignore",
     x0: Optional[np.ndarray] = None,
 ) -> SolverReport:
@@ -331,10 +298,6 @@ def solve_steady_state(
         (:class:`~repro.robust.FailingCallable`) to force and test
         fallbacks.  Overridden stages run exactly as given, without the
         registered method's pre-checks.
-    strategy:
-        Deprecated alias of ``method`` (the pre-unification spelling).
-        Accepted with a :class:`DeprecationWarning`; results are
-        bit-identical to the ``method=`` path.
     diagnostics:
         ``"ignore"`` (default), ``"warn"`` or ``"strict"`` — run the
         full :mod:`repro.analyze` lint pass (steady-state query) before
@@ -365,7 +328,6 @@ def solve_steady_state(
     >>> np.round(report.pi, 8).tolist()
     [0.66666667, 0.33333333]
     """
-    method = resolve_method_kwarg(method, strategy, "solve_steady_state")
     q = sparse.csr_matrix(generator, dtype=float)
     if diagnostics != "ignore":
         from ..analyze import run_diagnostics

@@ -8,7 +8,6 @@ dependent-failure Markov chains.
 """
 
 from .net import Marking, PetriNet, Place, Transition
-from .reachability import ReachabilityResult, build_reachability
 from .srn import SRNDependabilityModel, StochasticRewardNet
 
 __all__ = [
@@ -16,8 +15,6 @@ __all__ = [
     "Place",
     "Transition",
     "Marking",
-    "ReachabilityResult",
-    "build_reachability",
     "StochasticRewardNet",
     "SRNDependabilityModel",
 ]

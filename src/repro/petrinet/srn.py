@@ -7,21 +7,17 @@ up-condition predicate, MTTF via absorbing analysis — and the
 :class:`~repro.core.model.DependabilityModel` adapter used by the
 hierarchy engine.
 
-Two generation modes share one measure API.  The default (eager) mode
-builds a dict-based :class:`~repro.markov.CTMC` whose states are live
-:class:`~repro.petrinet.net.Marking` objects — right up to ~10^5
-markings.  ``lazy=True`` streams the same BFS into CSR triplet buffers
-(:func:`repro.sparse.build_sparse_reachability`) and holds a
-:class:`~repro.sparse.SparseCTMC` instead: markings become integer
-states with lazily-materialized labels, ``steady_state`` returns the
-probability *vector*, and reward measures stream over the label
-sequence — the dict-of-markings materialization is exactly what the
-lazy mode exists to avoid.
+Reachability streams the tangible BFS into CSR triplet buffers
+(:func:`repro.sparse.build_sparse_reachability`), so the generated chain
+is a :class:`~repro.sparse.SparseCTMC`: markings become integer states
+with lazily-materialized labels, ``steady_state`` returns the
+probability *vector* in state order, and reward measures stream over
+the label sequence — no marking→probability dict is ever built.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Union
+from typing import TYPE_CHECKING, Callable, Dict, Optional
 
 import numpy as np
 from scipy import sparse as _sp
@@ -29,9 +25,10 @@ from scipy.sparse import linalg as _spla
 
 from ..core.model import DependabilityModel
 from ..exceptions import ModelDefinitionError, SolverError, StateSpaceError
-from ..markov.ctmc import CTMC
 from .net import Marking, PetriNet
-from .reachability import ReachabilityResult, build_reachability
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from ..sparse.reachability import SparseReachabilityResult
 
 __all__ = ["StochasticRewardNet", "SRNDependabilityModel"]
 
@@ -47,16 +44,10 @@ class StochasticRewardNet:
     net:
         The Petri net description.
     max_markings:
-        Reachability safety cap (default 200 000 eager, 5 000 000 lazy).
-    lazy:
-        Generate the reachability graph directly into a
-        :class:`~repro.sparse.SparseCTMC` (CSR generator, interned
-        markings, bounded memory) instead of a dict-built CTMC.  All
-        measures keep working; ``steady_state`` returns a vector
-        instead of a marking→probability dict.
-    **lazy_options:
+        Reachability safety cap (default 5 000 000 tangible markings).
+    **options:
         Forwarded to :func:`repro.sparse.build_sparse_reachability`
-        (``memory_limit_mb``, ``chunk``, ``up``).
+        (``memory_limit_mb``, ``chunk``, ``up``, ``preflight``).
 
     Examples
     --------
@@ -77,41 +68,34 @@ class StochasticRewardNet:
         self,
         net: PetriNet,
         max_markings: Optional[int] = None,
-        lazy: bool = False,
-        **lazy_options,
+        **options,
     ):
+        # Imported lazily: repro.sparse imports this package's net module.
+        from ..sparse.reachability import _DEFAULT_MAX_MARKINGS
+
         self.net = net
-        self.lazy = bool(lazy)
         if max_markings is None:
-            max_markings = 5_000_000 if lazy else 200_000
+            max_markings = _DEFAULT_MAX_MARKINGS
         self._max_markings = int(max_markings)
-        if lazy_options and not lazy:
-            raise ModelDefinitionError(
-                f"options {sorted(lazy_options)} require lazy=True"
-            )
-        self._lazy_options = dict(lazy_options)
-        self._reach = None
+        self._options = dict(options)
+        self._reach: "Optional[SparseReachabilityResult]" = None
 
     # --------------------------------------------------------------- graph
     @property
-    def reachability(self):
-        """The (cached) tangible reachability result.
-
-        A :class:`~repro.petrinet.reachability.ReachabilityResult` in
-        eager mode, a :class:`~repro.sparse.SparseReachabilityResult`
-        in lazy mode — both carry ``chain`` / ``initial`` /
-        ``tangible`` / ``n_vanishing``.
-        """
+    def reachability(self) -> "SparseReachabilityResult":
+        """The (cached) tangible reachability result: ``chain`` /
+        ``initial`` / ``tangible`` / ``n_vanishing``."""
         if self._reach is None:
-            self._reach = build_reachability(
-                self.net, self._max_markings, lazy=self.lazy, **self._lazy_options
+            from ..sparse.reachability import build_sparse_reachability
+
+            self._reach = build_sparse_reachability(
+                self.net, self._max_markings, **self._options
             )
         return self._reach
 
     @property
     def chain(self):
-        """The generated chain: :class:`~repro.markov.CTMC` (eager) or
-        :class:`~repro.sparse.SparseCTMC` (lazy)."""
+        """The generated :class:`~repro.sparse.SparseCTMC`."""
         return self.reachability.chain
 
     def predict_state_space(self):
@@ -123,7 +107,7 @@ class StochasticRewardNet:
         :class:`~repro.analyze.invariants.StructuralAnalysis` — its
         ``state_bound`` is the P-invariant upper bound on the tangible
         marking count (``None`` when the net has no structural bound),
-        the same number the lazy build's pre-flight checks against
+        the same number the build's pre-flight checks against
         ``max_markings``.  Costs milliseconds and never explores a
         single marking.
         """
@@ -146,29 +130,21 @@ class StochasticRewardNet:
         """Initial probability over tangible markings."""
         return dict(self.reachability.initial)
 
-    def _initial_vector(self) -> np.ndarray:
-        return self.chain.initial_vector
-
     # ------------------------------------------------------------ measures
-    def steady_state(self) -> "Union[Dict[Marking, float], np.ndarray]":
-        """Stationary distribution over tangible markings.
+    def steady_state(self) -> np.ndarray:
+        """Stationary probability vector in state-index order.
 
-        Eager mode returns a marking → probability dict; lazy mode
-        returns the probability vector in state-index order (align with
-        :attr:`chain` ``.states`` for labels).
+        Align with :attr:`chain` ``.states`` for marking labels.
         """
         return self.chain.steady_state()
 
     def expected_reward_rate(self, reward: RewardFunction) -> float:
         """Steady-state expected reward rate of a marking reward function."""
-        if self.lazy:
-            pi = self.chain.steady_state()
-            rewards = np.fromiter(
-                (reward(m) for m in self.chain.states), dtype=float, count=len(pi)
-            )
-            return float(pi @ rewards)
-        pi = self.steady_state()
-        return sum(reward(marking) * prob for marking, prob in pi.items())
+        pi = self.chain.steady_state()
+        rewards = np.fromiter(
+            (reward(m) for m in self.chain.states), dtype=float, count=len(pi)
+        )
+        return float(pi @ rewards)
 
     def expected_tokens(self, place: str) -> float:
         """Steady-state expected token count in ``place``."""
@@ -198,10 +174,7 @@ class StochasticRewardNet:
     def transient_reward_rate(self, reward: RewardFunction, times) -> np.ndarray:
         """Expected reward rate at each time in ``times``."""
         ts = np.atleast_1d(np.asarray(times, dtype=float))
-        if self.lazy:
-            probs = self.chain.transient(ts)
-        else:
-            probs = self.chain.transient(ts, self.initial_distribution)
+        probs = self.chain.transient(ts)
         rewards = np.array([reward(m) for m in self.chain.states])
         return probs @ rewards
 
@@ -211,21 +184,13 @@ class StochasticRewardNet:
 
     def mean_time_to(self, condition: Condition) -> float:
         """Mean first-passage time into the set of markings satisfying ``condition``."""
-        if self.lazy:
-            targets = np.fromiter(
-                (condition(m) for m in self.chain.states),
-                dtype=bool,
-                count=self.chain.n_states,
-            )
-            if not targets.any():
-                raise StateSpaceError("no reachable marking satisfies the target condition")
-            return _sparse_mean_passage_time(
-                self.chain.generator(), self._initial_vector(), targets
-            )
-        targets = [m for m in self.chain.states if condition(m)]
-        if not targets:
+        chain = self.chain
+        targets = np.fromiter(
+            (condition(m) for m in chain.states), dtype=bool, count=chain.n_states
+        )
+        if not targets.any():
             raise StateSpaceError("no reachable marking satisfies the target condition")
-        return self.chain.mean_time_to_absorption(self.initial_distribution, absorbing=targets)
+        return _sparse_mean_passage_time(chain.generator(), chain.initial_vector, targets)
 
 
 def _sparse_mean_passage_time(
@@ -261,10 +226,11 @@ def _sparse_mean_passage_time(
 class SRNDependabilityModel(DependabilityModel):
     """Dependability adapter: an SRN plus an up-condition predicate.
 
-    Works on both generation modes: with a lazy SRN, the up/down
-    classification is a boolean mask over interned states and the
-    reliability chain is a CSR row-masked copy of the generator (down
-    states made absorbing) — no marking dicts are ever built.
+    The up/down classification is a boolean mask over the interned
+    states (the chain's own ``up`` mask when the SRN was built with
+    one), and the reliability chain is a CSR row-masked copy of the
+    generator (down states made absorbing) — no marking dicts are ever
+    built.
 
     Parameters
     ----------
@@ -277,72 +243,46 @@ class SRNDependabilityModel(DependabilityModel):
     def __init__(self, srn: StochasticRewardNet, up: Condition):
         self.srn = srn
         self.up = up
-        if srn.lazy:
-            chain = srn.chain
-            mask = chain.up_mask
-            if mask is None:
-                mask = np.fromiter(
-                    (up(m) for m in chain.states), dtype=bool, count=chain.n_states
-                )
-            self._up_mask = mask
-            if not mask.any():
-                raise ModelDefinitionError("no reachable marking satisfies the up condition")
-            self._up_states = None
-            self._down_states = None
-        else:
-            states = srn.chain.states
-            self._up_mask = None
-            self._up_states = [m for m in states if up(m)]
-            if not self._up_states:
-                raise ModelDefinitionError("no reachable marking satisfies the up condition")
-            self._down_states = [m for m in states if not up(m)]
+        chain = srn.chain
+        mask = chain.up_mask
+        if mask is None:
+            mask = np.fromiter(
+                (up(m) for m in chain.states), dtype=bool, count=chain.n_states
+            )
+        if not mask.any():
+            raise ModelDefinitionError("no reachable marking satisfies the up condition")
+        self._up_mask = mask
 
     def availability(self, t):
         """Point availability ``P[up at t]``."""
         scalar = np.isscalar(t)
-        if self.srn.lazy:
-            ts = np.atleast_1d(np.asarray(t, dtype=float))
-            probs = self.srn.chain.transient(ts)
-            out = probs[:, self._up_mask].sum(axis=1)
-        else:
-            out = self.srn.transient_probability(self.up, t)
+        ts = np.atleast_1d(np.asarray(t, dtype=float))
+        probs = self.srn.chain.transient(ts)
+        out = probs[:, self._up_mask].sum(axis=1)
         return float(out[0]) if scalar else out
 
     def steady_state_availability(self) -> float:
         """Long-run probability of an up marking."""
-        if self.srn.lazy:
-            pi = self.srn.chain.steady_state()
-            return float(pi[self._up_mask].sum())
-        return self.srn.probability(self.up)
+        pi = self.srn.chain.steady_state()
+        return float(pi[self._up_mask].sum())
 
     def reliability(self, t):
         """Probability of staying in up markings throughout ``[0, t]``."""
+        from ..markov.solvers import solve_transient
+
         scalar = np.isscalar(t)
         ts = np.atleast_1d(np.asarray(t, dtype=float))
-        if self.srn.lazy:
-            chain = self.srn.chain
-            q = chain.generator()
-            # Zero the down rows: down markings become absorbing.
-            keep = _sp.diags(self._up_mask.astype(float))
-            absorbed = (keep @ q).tocsr()
-            from ..markov.solvers import solve_transient
-
-            probs = solve_transient(absorbed, chain.initial_vector, ts)
-            out = probs[:, self._up_mask].sum(axis=1)
-        else:
-            chain = self.srn.chain.with_absorbing(self._down_states)
-            initial = self.srn.initial_distribution
-            probs = chain.transient(ts, initial)
-            idx = [chain.index_of(m) for m in self._up_states]
-            out = probs[:, idx].sum(axis=1)
+        chain = self.srn.chain
+        # Zero the down rows: down markings become absorbing.
+        keep = _sp.diags(self._up_mask.astype(float))
+        absorbed = (keep @ chain.generator()).tocsr()
+        probs = solve_transient(absorbed, chain.initial_vector, ts)
+        out = probs[:, self._up_mask].sum(axis=1)
         return float(out[0]) if scalar else out
 
     def mttf(self) -> float:
         """Mean time to the first down marking."""
-        if self.srn.lazy:
-            return _sparse_mean_passage_time(
-                self.srn.chain.generator(),
-                self.srn.chain.initial_vector,
-                ~self._up_mask,
-            )
-        return self.srn.mean_time_to(lambda m: not self.up(m))
+        chain = self.srn.chain
+        return _sparse_mean_passage_time(
+            chain.generator(), chain.initial_vector, ~self._up_mask
+        )

@@ -3,7 +3,7 @@
 Plays the net directly — exponential races among enabled timed
 transitions, weight-proportional choice among enabled immediates — with
 no reachability graph, so it also works as a sanity check that the
-analytic generation in :mod:`repro.petrinet.reachability` produced the
+analytic generation in :mod:`repro.sparse.reachability` produced the
 right chain.
 """
 

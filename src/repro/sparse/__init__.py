@@ -8,10 +8,10 @@ per-state Python object graph.
   generator + lazy state labels) accepted by the standard front doors
   (``steady_state``/``transient``, :func:`repro.compile_model`,
   :func:`repro.analyze.analyze`, :func:`repro.evaluate_batch`);
-* :func:`build_sparse_reachability` — lazy SRN reachability straight
-  into CSR triplet buffers with marking interning and a bounded-memory
-  guard (also reachable as ``build_reachability(net, lazy=True)`` /
-  ``StochasticRewardNet(net, lazy=True)``);
+* :func:`build_sparse_reachability` — SRN reachability straight into
+  CSR triplet buffers with marking interning and a bounded-memory guard
+  (the generation step behind every
+  :class:`~repro.petrinet.StochasticRewardNet`);
 * :mod:`repro.sparse.krylov` — ``expm_multiply`` transient stepping and
   preconditioned GMRES/BiCGSTAB steady state, registered as methods
   ``"krylov"``, ``"gmres"`` and ``"bicgstab"`` in the

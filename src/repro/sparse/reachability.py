@@ -1,21 +1,21 @@
-"""Lazy SRN reachability: BFS straight into CSR triplet buffers.
+"""SRN reachability: BFS straight into CSR triplet buffers.
 
-The eager generator (:func:`repro.petrinet.reachability.build_reachability`)
-builds a dict-based :class:`~repro.markov.CTMC` — one Python object and
-several dict entries per marking and per transition — which tops out
-around 10^5 markings.  This module is the large-state-space path: the
-same tangible BFS with the same vanishing-marking elimination, but
-markings are *interned* to dense integer ids (one token-tuple → id dict,
+Generates the tangible reachability graph of a stochastic Petri net and
+its underlying CTMC — the one generation step of the SRN workflow.
+Markings that enable immediate transitions (*vanishing* markings) are
+eliminated on the fly: each timed firing that lands on a vanishing
+marking is redistributed over the tangible markings ultimately reached,
+weighting by the immediate transitions' normalized weights.  Vanishing
+loops are resolved exactly by solving the linear system within each
+vanishing strongly connected component, so nets with cyclic immediate
+behaviour (e.g. weighted retries) are handled, provided the loop is not
+probability-preserving (a "timeless trap").
+
+Markings are *interned* to dense integer ids (one token-tuple → id dict,
 the only per-marking structure kept), transitions stream into
 chunk-allocated NumPy triplet buffers, and the result is a
 :class:`~repro.sparse.ctmc.SparseCTMC` whose marking labels are
-materialized lazily on access.
-
-The BFS visits markings, transitions and vanishing-resolution targets in
-exactly the order the eager generator does, so the lazy and eager paths
-produce the **same state indexing** and (up to last-ulp summation
-differences) the same generator — ``tests/sparse`` asserts this on every
-SRN case study in the repo.
+materialized lazily on access — the path scales to 10^6+ markings.
 
 A structural *pre-flight* (P-invariant analysis from
 :mod:`repro.analyze.invariants`) sizes the net before building: nets
@@ -41,7 +41,6 @@ from scipy import sparse
 from ..exceptions import StateSpaceError
 from ..obs.trace import get_tracer
 from ..petrinet.net import Marking, PetriNet
-from ..petrinet.reachability import _resolve_vanishing
 from .ctmc import SparseCTMC, _LazySeq
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -57,6 +56,103 @@ _DEFAULT_CHUNK = 65_536
 _DICT_SLOT_BYTES = 104
 #: Bytes per streamed transition triplet (int64 row + int64 col + float64).
 _TRIPLET_BYTES = 24
+#: Tangible probabilities at or below this are dropped from a vanishing
+#: resolution (round-off residue of the visit-count solve).
+_LOOP_TOLERANCE = 1e-12
+
+
+def _resolve_vanishing(
+    net: PetriNet,
+    start: Marking,
+    max_markings: int,
+) -> Dict[Marking, float]:
+    """Distribution over tangible markings reached from a vanishing marking.
+
+    Performs a local expansion of the vanishing subgraph reachable from
+    ``start`` and solves ``(I - V) x = b`` where ``V`` is the
+    vanishing→vanishing jump matrix — exact even with immediate loops.
+    """
+    order: List[Marking] = []
+    index: Dict[Marking, int] = {}
+    tangible_hits: Dict[Marking, Dict[int, float]] = {}
+    queue = deque([start])
+    index[start] = 0
+    order.append(start)
+    edges: List[List[Tuple[int, float]]] = []
+
+    while queue:
+        marking = queue.popleft()
+        i = index[marking]
+        while len(edges) <= i:
+            edges.append([])
+        enabled = net.enabled_transitions(marking)
+        weights = [(t, t.weight_in(marking)) for t in enabled]
+        total = sum(w for _, w in weights)
+        if total <= 0:
+            raise StateSpaceError(
+                f"vanishing marking {marking!r} has zero total immediate weight"
+            )
+        for transition, weight in weights:
+            if weight <= 0:
+                continue
+            prob = weight / total
+            successor = transition.fire(marking)
+            if net.is_vanishing(successor):
+                j = index.get(successor)
+                if j is None:
+                    if len(index) >= max_markings:
+                        raise StateSpaceError(
+                            f"vanishing expansion exceeded {max_markings} markings"
+                        )
+                    j = len(order)
+                    index[successor] = j
+                    order.append(successor)
+                    queue.append(successor)
+                edges[i].append((j, prob))
+            else:
+                tangible_hits.setdefault(successor, {}).setdefault(i, 0.0)
+                tangible_hits[successor][i] += prob
+
+    n = len(order)
+    if n == 1 and not edges[0]:
+        # Pure tangible fan-out from a single vanishing marking.
+        return {m: probs[0] for m, probs in tangible_hits.items()}
+
+    # Dense over one vanishing component (markings reached from `start`
+    # through immediates), never over the tangible chain.
+    v = np.zeros((n, n))  # noqa: R007
+    for i, outs in enumerate(edges):
+        for j, prob in outs:
+            v[i, j] += prob
+    system = np.eye(n) - v
+    try:
+        inv_first_row = np.linalg.solve(system.T, _unit(n, 0))
+    except np.linalg.LinAlgError as exc:
+        raise StateSpaceError(
+            "timeless trap: immediate transitions form a probability-preserving loop"
+        ) from exc
+    # inv_first_row[i] = expected visits to vanishing marking i from start.
+    if np.any(~np.isfinite(inv_first_row)):
+        raise StateSpaceError("vanishing-loop resolution produced non-finite visit counts")
+
+    result: Dict[Marking, float] = {}
+    for tangible_marking, contributions in tangible_hits.items():
+        prob = sum(inv_first_row[i] * p for i, p in contributions.items())
+        if prob > _LOOP_TOLERANCE:
+            result[tangible_marking] = prob
+    total = sum(result.values())
+    if abs(total - 1.0) > 1e-6:
+        raise StateSpaceError(
+            f"vanishing resolution lost probability mass (total {total}); "
+            "check for timeless traps or dead immediate branches"
+        )
+    return {m: p / total for m, p in result.items()}
+
+
+def _unit(n: int, i: int) -> np.ndarray:
+    vec = np.zeros(n)
+    vec[i] = 1.0
+    return vec
 
 
 class _TripletBuffer:
@@ -139,13 +235,22 @@ class _ChunkVec:
 
 
 class SparseReachabilityResult:
-    """Outcome of lazy reachability analysis.
+    """Outcome of reachability analysis.
 
-    The sparse twin of
-    :class:`~repro.petrinet.reachability.ReachabilityResult`: ``chain``
-    is a :class:`~repro.sparse.ctmc.SparseCTMC` instead of a dict-built
-    CTMC, and ``tangible`` is a lazily-materializing sequence of
-    markings rather than a list of live objects.
+    Attributes
+    ----------
+    chain:
+        :class:`~repro.sparse.ctmc.SparseCTMC` over tangible markings.
+    initial:
+        Initial tangible-marking distribution (a single marking when the
+        net's initial marking is tangible, otherwise the distribution the
+        immediate transitions resolve it to).
+    tangible:
+        Tangible markings in discovery order, as a lazily-materializing
+        sequence.
+    n_vanishing:
+        Number of distinct vanishing markings entered by the BFS (the
+        initial marking or a timed firing's successor) and eliminated.
 
     When the build recorded symbolic rates (``rate_terms=``),
     ``compiled`` holds the :class:`~repro.compile.sparse.CompiledSparseCTMC`
@@ -181,10 +286,12 @@ def build_sparse_reachability(
     Parameters
     ----------
     net:
-        The Petri net; immediate transitions are eliminated exactly as
-        in the eager generator (shared vanishing-SCC solver).
+        The Petri net; immediate transitions are eliminated exactly
+        (vanishing loops solved linearly, timeless traps detected).
     max_markings:
-        Cap on tangible markings (default 5·10^6, vs 2·10^5 eager).
+        Cap on tangible markings (default 5·10^6); exceeding it raises
+        :class:`~repro.exceptions.StateSpaceError` (the state-space
+        explosion the tutorial warns about, made explicit).
     memory_limit_mb:
         Bounded-memory guard: the estimated footprint of the interning
         table plus triplet buffers may not exceed this; crossing it
@@ -267,10 +374,10 @@ def build_sparse_reachability(
     token_bytes = 56 + 8 * len(places) + _DICT_SLOT_BYTES
 
     initial_marking = net.initial_marking()
-    n_vanishing = 0
+    vanishing_cache: Dict[Marking, Dict[Marking, float]] = {}
     if net.is_vanishing(initial_marking):
-        n_vanishing += 1
         initial_distribution = _resolve_vanishing(net, initial_marking, max_markings)
+        vanishing_cache[initial_marking] = initial_distribution
     else:
         initial_distribution = {initial_marking: 1.0}
 
@@ -310,7 +417,6 @@ def build_sparse_reachability(
         for marking in initial_distribution:
             intern(marking)
 
-        vanishing_cache: Dict[Marking, Dict[Marking, float]] = {}
         markings_counter = tracer.metrics.counter("sparse.reachability.markings")
         edges_counter = tracer.metrics.counter("sparse.reachability.edges")
         explored = 0
@@ -327,7 +433,6 @@ def build_sparse_reachability(
                 successor = transition.fire(marking)
                 if net.is_vanishing(successor):
                     if successor not in vanishing_cache:
-                        n_vanishing += 1
                         vanishing_cache[successor] = _resolve_vanishing(
                             net, successor, max_markings
                         )
@@ -360,7 +465,7 @@ def build_sparse_reachability(
                     estimated += term_ids.nbytes + multipliers.nbytes
                 if estimated > memory_limit:
                     raise StateSpaceError(
-                        f"lazy reachability exceeded the {memory_limit_mb:.0f} MiB "
+                        f"reachability exceeded the {memory_limit_mb:.0f} MiB "
                         f"memory budget at {len(tokens)} markings / "
                         f"{triplets.count} transitions (estimated "
                         f"{estimated / 1e6:.0f} MB); raise memory_limit_mb or "
@@ -383,6 +488,7 @@ def build_sparse_reachability(
         generator = sparse.csr_matrix(
             (all_vals, (all_rows, all_cols)), shape=(n, n), dtype=float
         )
+        n_vanishing = len(vanishing_cache)
         span.set(n_markings=n, n_transitions=int(nnz), n_vanishing=n_vanishing)
 
     initial_vector = np.zeros(n)

@@ -139,9 +139,9 @@ class StoreBackedCache(EvaluationCache):
         return n
 
     def __contains__(self, assignment: Mapping[str, float]) -> bool:
-        from ..engine.cache import freeze_assignment
+        from ..engine.cache import canonical_point_key
 
-        found, _ = self.peek(freeze_assignment(assignment))
+        found, _ = self.peek(canonical_point_key(assignment))
         return found
 
     @staticmethod

@@ -59,9 +59,12 @@ class TestCrossValidation:
             nfvchain.analytic_availability(spec), abs=1e-12
         )
 
-    def test_eager_srn_matches_analytic(self):
+    def test_srn_without_up_mask_matches_analytic(self):
+        # No generation-time up mask: the adapter classifies markings
+        # with the predicate itself.
         spec = nfvchain.NFVChainSpec(n_vnfs=2, replicas=2)
-        model = nfvchain.build_nfv_model(spec, lazy=False)
+        model = nfvchain.build_nfv_model(spec, up=None)
+        assert model.srn.chain.up_mask is None
         assert model.steady_state_availability() == pytest.approx(
             nfvchain.analytic_availability(spec), abs=1e-12
         )

@@ -22,6 +22,7 @@ from repro.compile import (
 from repro.compile.ctmc import Param
 from repro.exceptions import ModelDefinitionError, SolverError
 from repro.obs import Tracer, activate_tracer
+from repro.petrinet import StochasticRewardNet
 from repro.petrinet.templates import (
     machine_repairman,
     queue_with_breakdowns,
@@ -333,13 +334,11 @@ class TestModelWiring:
         assert supports_compilation(srn)
         assert compile_model(srn) is srn.chain
 
-    def test_compile_model_rejects_eager_srn(self):
-        srn = nfvchain.build_nfv_srn(
-            NFVChainSpec(n_vnfs=2, replicas=2), lazy=False
-        )
-        assert not supports_compilation(srn)
-        with pytest.raises(ModelDefinitionError, match="eager SRN"):
-            compile_model(srn)
+    def test_compile_model_accepts_any_srn(self):
+        net = nfvchain.build_nfv_net(NFVChainSpec(n_vnfs=2, replicas=2))
+        srn = StochasticRewardNet(net)
+        assert supports_compilation(srn)
+        assert compile_model(srn) is srn.chain
 
     def test_compiled_sparse_exported_at_top_level(self):
         import repro

@@ -3,16 +3,16 @@
 import numpy as np
 import pytest
 
-from repro.engine import EvaluationCache, evaluate_batch, freeze_assignment
+from repro.engine import EvaluationCache, canonical_point_key, evaluate_batch
 from repro.exceptions import ModelDefinitionError
 
 
 class TestFreezing:
     def test_order_insensitive(self):
-        assert freeze_assignment({"a": 1, "b": 2.0}) == freeze_assignment({"b": 2, "a": 1.0})
+        assert canonical_point_key({"a": 1, "b": 2.0}) == canonical_point_key({"b": 2, "a": 1.0})
 
     def test_value_coercion(self):
-        assert freeze_assignment({"a": 1}) == freeze_assignment({"a": 1.0})
+        assert canonical_point_key({"a": 1}) == canonical_point_key({"a": 1.0})
 
 
 class TestCounters:

@@ -1,4 +1,4 @@
-"""The unified solver API: ``method=`` everywhere, ``strategy=`` deprecated."""
+"""The unified solver API: ``method=`` everywhere."""
 
 import warnings
 
@@ -7,7 +7,6 @@ import pytest
 
 from repro.exceptions import ModelDefinitionError, SolverError
 from repro.markov import CTMC, solve_steady_state, solve_transient
-from repro.markov.fallback import resolve_method_kwarg
 
 TWO_STATE = np.array([[-1e-3, 1e-3], [0.5, -0.5]])
 
@@ -20,50 +19,18 @@ def _chain() -> CTMC:
 
 
 class TestDeprecatedStrategyKwarg:
-    def test_warns_exactly_once_per_call(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            solve_steady_state(TWO_STATE, strategy="gth")
-        deprecations = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 1
-        assert "strategy=" in str(deprecations[0].message)
-        assert "method=" in str(deprecations[0].message)
-
-    @pytest.mark.parametrize("name", ["auto", "gth", "direct", "power"])
-    def test_result_bit_identical_to_method(self, name):
-        with pytest.warns(DeprecationWarning):
-            old = solve_steady_state(TWO_STATE, strategy=name)
-        new = solve_steady_state(TWO_STATE, method=name)
-        assert np.array_equal(old.pi, new.pi)  # bit-identical, not just close
-        assert old.method == new.method
-        assert old.order == new.order
-
-    def test_conflicting_values_raise(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ModelDefinitionError, match="method= only"):
-                solve_steady_state(TWO_STATE, method="gth", strategy="power")
-
-    def test_agreeing_values_accepted(self):
-        with pytest.warns(DeprecationWarning):
-            report = solve_steady_state(TWO_STATE, method="gth", strategy="gth")
-        assert report.method == "gth"
+    """The ``strategy=`` spelling is gone; ``method=`` is the only one."""
 
     def test_method_alone_does_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             solve_steady_state(TWO_STATE, method="gth")
 
-    def test_steady_state_report_shim(self):
-        chain = _chain()
-        with pytest.warns(DeprecationWarning):
-            old = chain.steady_state_report(strategy="gth")
-        new = chain.steady_state_report(method="gth")
-        assert np.array_equal(old.pi, new.pi)
-
-    def test_resolve_method_kwarg_default(self):
-        assert resolve_method_kwarg(None, None, "f") == "auto"
-        assert resolve_method_kwarg(None, None, "f", default="gth") == "gth"
-        assert resolve_method_kwarg("power", None, "f") == "power"
+    def test_strategy_kwarg_rejected(self):
+        with pytest.raises(TypeError):
+            solve_steady_state(TWO_STATE, strategy="gth")
+        with pytest.raises(TypeError):
+            _chain().steady_state_report(strategy="gth")
 
 
 class TestTransientFrontDoor:

@@ -1,10 +1,10 @@
 """Unit tests for reachability analysis and vanishing elimination."""
 
-import numpy as np
 import pytest
 
 from repro.exceptions import StateSpaceError
-from repro.petrinet import PetriNet, StochasticRewardNet, build_reachability
+from repro.petrinet import PetriNet, StochasticRewardNet
+from repro.sparse import build_sparse_reachability
 
 
 def mm1k(K=3, lam=1.0, mu=2.0):
@@ -20,19 +20,19 @@ def mm1k(K=3, lam=1.0, mu=2.0):
 
 class TestTangibleGraph:
     def test_mm1k_state_count(self):
-        result = build_reachability(mm1k(K=3))
+        result = build_sparse_reachability(mm1k(K=3))
         assert len(result.tangible) == 4
         assert result.n_vanishing == 0
 
     def test_generated_rates(self):
-        result = build_reachability(mm1k(K=2, lam=1.5, mu=3.0))
-        chain = result.chain
+        result = build_sparse_reachability(mm1k(K=2, lam=1.5, mu=3.0))
+        chain = result.chain.to_ctmc()
         states = {m["queue"]: m for m in chain.states}
         assert chain.rate(states[0], states[1]) == pytest.approx(1.5)
         assert chain.rate(states[1], states[0]) == pytest.approx(3.0)
 
     def test_initial_distribution_tangible(self):
-        result = build_reachability(mm1k())
+        result = build_sparse_reachability(mm1k())
         ((marking, prob),) = result.initial.items()
         assert marking["queue"] == 0
         assert prob == 1.0
@@ -43,7 +43,7 @@ class TestTangibleGraph:
         net.add_timed_transition("t", rate=1.0)
         net.add_output_arc("t", "p")
         with pytest.raises(StateSpaceError):
-            build_reachability(net, max_markings=50)
+            build_sparse_reachability(net, max_markings=50)
 
     def test_marking_dependent_rates_generated(self):
         # machine-repair: n machines, rate proportional to up count
@@ -55,10 +55,11 @@ class TestTangibleGraph:
         net.add_timed_transition("repair", rate=1.0)
         net.add_input_arc("repair", "down")
         net.add_output_arc("repair", "up")
-        result = build_reachability(net)
+        result = build_sparse_reachability(net)
         assert len(result.tangible) == n + 1
-        states = {m["up"]: m for m in result.chain.states}
-        assert result.chain.rate(states[3], states[2]) == pytest.approx(0.3)
+        chain = result.chain.to_ctmc()
+        states = {m["up"]: m for m in chain.states}
+        assert chain.rate(states[3], states[2]) == pytest.approx(0.3)
 
 
 class TestVanishingElimination:
@@ -87,15 +88,15 @@ class TestVanishingElimination:
         return net
 
     def test_vanishing_markings_removed(self):
-        result = build_reachability(self.coverage_net())
+        result = build_sparse_reachability(self.coverage_net())
         assert result.n_vanishing == 1
         for marking in result.tangible:
             assert marking["deciding"] == 0
 
     def test_split_rates(self):
         c = 0.9
-        result = build_reachability(self.coverage_net(c))
-        chain = result.chain
+        result = build_sparse_reachability(self.coverage_net(c))
+        chain = result.chain.to_ctmc()
         up = next(m for m in chain.states if m["up"] == 1)
         covered = next(m for m in chain.states if m["covered"] == 1)
         uncovered = next(m for m in chain.states if m["uncovered"] == 1)
@@ -132,7 +133,7 @@ class TestVanishingElimination:
         net.add_timed_transition("loopB", rate=1.0)
         net.add_input_arc("loopB", "b")
         net.add_output_arc("loopB", "a")
-        result = build_reachability(net)
+        result = build_sparse_reachability(net)
         probs = {m: p for m, p in result.initial.items()}
         a_marking = next(m for m in probs if m["a"] == 1)
         assert probs[a_marking] == pytest.approx(0.75)
@@ -155,7 +156,7 @@ class TestVanishingElimination:
         net.add_timed_transition("back", rate=1.0)
         net.add_input_arc("back", "out")
         net.add_output_arc("back", "x")
-        result = build_reachability(net)
+        result = build_sparse_reachability(net)
         ((marking, prob),) = result.initial.items()
         assert marking["out"] == 1
         assert prob == pytest.approx(1.0)
@@ -171,4 +172,4 @@ class TestVanishingElimination:
         net.add_input_arc("yx", "y")
         net.add_output_arc("yx", "x")
         with pytest.raises(StateSpaceError):
-            build_reachability(net)
+            build_sparse_reachability(net)

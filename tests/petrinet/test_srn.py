@@ -29,7 +29,7 @@ class TestMeasures:
         srn = StochasticRewardNet(mm1k(K, lam, mu))
         analytic = mm1k_analytic(K, lam, mu)
         pi = srn.steady_state()
-        for marking, prob in pi.items():
+        for marking, prob in zip(srn.chain.states, pi):
             assert prob == pytest.approx(analytic[marking["queue"]], rel=1e-10)
 
     def test_expected_tokens(self):

@@ -6,17 +6,10 @@ import numpy as np
 import pytest
 
 from repro.engine import EvaluationCache, canonical_point_key, evaluate_batch
-from repro.engine.cache import freeze_assignment
 from repro.serve import ResultCache
 
 
 class TestCanonicalPointKey:
-    def test_is_the_engine_key_function_itself(self):
-        # The serve cache's key and the engine cache's key must be
-        # bit-identical; the implementation makes drift impossible by
-        # aliasing, and this test pins that choice.
-        assert freeze_assignment is canonical_point_key
-
     def test_order_insensitive(self):
         assert canonical_point_key({"b": 2.0, "a": 1.0}) == canonical_point_key(
             {"a": 1.0, "b": 2.0}

@@ -1,24 +1,27 @@
-"""Lazy CSR reachability vs the eager dict-built path.
+"""CSR reachability vs the independent dict-built reference BFS.
 
-The load-bearing contract: ``lazy=True`` replicates the eager BFS
+The load-bearing contract: :func:`build_sparse_reachability` replicates
+the naive tangible BFS of ``tests/petrinet/reference_reachability.py``
 exactly — same state order, same triplet order, hence *bit-identical*
-CSR generators — on every SRN shape the library ships (plain timed
-nets, marking-dependent rates, immediate transitions with vanishing
-elimination, guards and inhibitors).
+CSR generators, the same vanishing count and the same initial
+distribution — on every SRN shape the library ships (plain timed nets,
+marking-dependent rates, immediate transitions with vanishing
+elimination, vanishing loops, vanishing initial markings, guards and
+inhibitors).
 """
 
 import numpy as np
 import pytest
 
-from repro.exceptions import ModelDefinitionError, StateSpaceError
+from repro.exceptions import StateSpaceError
 from repro.petrinet import PetriNet, StochasticRewardNet
-from repro.petrinet.reachability import build_reachability
 from repro.petrinet.templates import (
     machine_repairman,
     queue_with_breakdowns,
     redundant_pool_with_coverage,
 )
 from repro.sparse import SparseCTMC, build_sparse_reachability
+from tests.petrinet.reference_reachability import reference_reachability
 
 
 def mm1k(K=5, lam=2.0, mu=3.0):
@@ -38,6 +41,52 @@ def nfv_default():
     return build_nfv_net(NFVChainSpec())
 
 
+def escape_loop():
+    """Weighted-retry vanishing loop: x ⇄ y immediates with an escape.
+
+    The initial marking is vanishing, and the one timed transition leads
+    back into it, so the BFS re-enters the initial vanishing marking.
+    """
+    net = PetriNet()
+    net.add_place("x", 1)
+    net.add_place("y", 0)
+    net.add_place("out", 0)
+    net.add_immediate_transition("xy", weight=1.0)
+    net.add_input_arc("xy", "x")
+    net.add_output_arc("xy", "y")
+    net.add_immediate_transition("yx", weight=0.5)
+    net.add_input_arc("yx", "y")
+    net.add_output_arc("yx", "x")
+    net.add_immediate_transition("escape", weight=0.5)
+    net.add_input_arc("escape", "y")
+    net.add_output_arc("escape", "out")
+    net.add_timed_transition("back", rate=1.0)
+    net.add_input_arc("back", "out")
+    net.add_output_arc("back", "x")
+    return net
+
+
+def vanishing_initial():
+    """The initial marking splits 3:1 over two tangible markings."""
+    net = PetriNet()
+    net.add_place("start", 1)
+    net.add_place("a", 0)
+    net.add_place("b", 0)
+    net.add_immediate_transition("toA", weight=3.0)
+    net.add_input_arc("toA", "start")
+    net.add_output_arc("toA", "a")
+    net.add_immediate_transition("toB", weight=1.0)
+    net.add_input_arc("toB", "start")
+    net.add_output_arc("toB", "b")
+    net.add_timed_transition("loopA", rate=1.0)
+    net.add_input_arc("loopA", "a")
+    net.add_output_arc("loopA", "b")
+    net.add_timed_transition("loopB", rate=2.0)
+    net.add_input_arc("loopB", "b")
+    net.add_output_arc("loopB", "a")
+    return net
+
+
 #: every SRN case-study shape in the library, one net builder each
 CASE_STUDIES = {
     "mm1k": mm1k,
@@ -45,6 +94,8 @@ CASE_STUDIES = {
     "coverage_pool": lambda: redundant_pool_with_coverage(3, 0.01, 0.5, 0.95, 0.2),
     "queue_breakdowns": lambda: queue_with_breakdowns(5, 1.0, 2.0, 0.01, 0.5),
     "nfvchain": nfv_default,
+    "escape_loop": escape_loop,
+    "vanishing_initial": vanishing_initial,
 }
 
 
@@ -52,32 +103,41 @@ CASE_STUDIES = {
 class TestLazyEagerEquality:
     def test_generator_bit_identical(self, name):
         net = CASE_STUDIES[name]()
-        eager = build_reachability(net, 200_000)
-        lazy = build_reachability(net, 200_000, lazy=True)
-        qe = eager.chain.generator().tocsr()
-        ql = lazy.chain.generator().tocsr()
-        qe.sort_indices()
-        ql.sort_indices()
-        assert qe.shape == ql.shape
-        assert qe.indptr.tobytes() == ql.indptr.tobytes()
-        assert qe.indices.tobytes() == ql.indices.tobytes()
-        assert qe.data.tobytes() == ql.data.tobytes()
+        reference = reference_reachability(net)
+        built = build_sparse_reachability(net)
+        qr = reference.chain.generator().tocsr()
+        qb = built.chain.generator().tocsr()
+        qr.sort_indices()
+        qb.sort_indices()
+        assert qr.shape == qb.shape
+        assert qr.indptr.tobytes() == qb.indptr.tobytes()
+        assert qr.indices.tobytes() == qb.indices.tobytes()
+        assert qr.data.tobytes() == qb.data.tobytes()
 
     def test_state_order_and_counts_match(self, name):
         net = CASE_STUDIES[name]()
-        eager = build_reachability(net, 200_000)
-        lazy = build_reachability(net, 200_000, lazy=True)
-        assert len(lazy.tangible) == len(eager.tangible)
-        assert lazy.n_vanishing == eager.n_vanishing
-        assert list(lazy.chain.states) == list(eager.chain.states)
+        reference = reference_reachability(net)
+        built = build_sparse_reachability(net)
+        assert len(built.tangible) == len(reference.tangible)
+        assert built.n_vanishing == reference.n_vanishing
+        assert list(built.chain.states) == list(reference.chain.states)
+
+    def test_initial_distribution_matches(self, name):
+        net = CASE_STUDIES[name]()
+        reference = reference_reachability(net)
+        built = build_sparse_reachability(net)
+        assert built.initial == reference.initial
+        expected = np.zeros(len(reference.tangible))
+        for marking, prob in reference.initial.items():
+            expected[reference.chain.index_of(marking)] = prob
+        assert built.chain.initial_vector.tobytes() == expected.tobytes()
 
     def test_steady_state_measures_agree(self, name):
         net = CASE_STUDIES[name]()
-        eager_srn = StochasticRewardNet(net)
-        lazy_srn = StochasticRewardNet(net, lazy=True)
-        pi_dict = eager_srn.steady_state()
-        pi_vec = lazy_srn.steady_state()
-        order = list(lazy_srn.chain.states)
+        pi_dict = reference_reachability(net).chain.steady_state()
+        srn = StochasticRewardNet(net)
+        pi_vec = srn.steady_state()
+        order = list(srn.chain.states)
         np.testing.assert_allclose(
             pi_vec, [pi_dict[m] for m in order], atol=1e-10
         )
@@ -85,12 +145,9 @@ class TestLazyEagerEquality:
 
 class TestLazyMode:
     def test_lazy_yields_sparse_ctmc(self):
-        result = build_reachability(mm1k(), 1000, lazy=True)
+        result = build_sparse_reachability(mm1k(), 1000)
         assert isinstance(result.chain, SparseCTMC)
-
-    def test_lazy_options_without_lazy_rejected(self):
-        with pytest.raises(ModelDefinitionError, match="lazy=True"):
-            StochasticRewardNet(mm1k(), memory_limit_mb=64.0)
+        assert isinstance(StochasticRewardNet(mm1k()).chain, SparseCTMC)
 
     def test_max_markings_guard(self):
         with pytest.raises(StateSpaceError):
@@ -112,46 +169,56 @@ class TestLazyMode:
         assert chain.up_mask.tolist() == expected
 
     def test_labels_materialize_lazily_and_index(self):
-        result = build_reachability(mm1k(K=3), 1000, lazy=True)
+        result = build_sparse_reachability(mm1k(K=3), 1000)
         chain = result.chain
         first = chain.states[0]
         assert first["queue"] == 0
         assert chain.index_of(first) == 0
 
     def test_initial_distribution_on_interned_states(self):
-        result = build_reachability(mm1k(K=3), 1000, lazy=True)
+        result = build_sparse_reachability(mm1k(K=3), 1000)
         p0 = result.chain.initial_vector
         assert p0.sum() == pytest.approx(1.0)
         assert p0[0] == pytest.approx(1.0)
 
 
 class TestLazySRNMeasures:
+    """SRN measures vs the same measures on the reference dict chain."""
+
     def test_expected_tokens_matches_eager(self):
         net = mm1k()
-        eager = StochasticRewardNet(net).expected_tokens("queue")
-        lazy = StochasticRewardNet(net, lazy=True).expected_tokens("queue")
+        pi = reference_reachability(net).chain.steady_state()
+        eager = sum(p * m["queue"] for m, p in pi.items())
+        lazy = StochasticRewardNet(net).expected_tokens("queue")
         assert lazy == pytest.approx(eager, rel=1e-10)
 
     def test_throughput_matches_eager(self):
         net = queue_with_breakdowns(5, 1.0, 2.0, 0.01, 0.5)
-        eager = StochasticRewardNet(net).throughput("serve")
-        lazy = StochasticRewardNet(net, lazy=True).throughput("serve")
+        serve = net.transitions["serve"]
+        pi = reference_reachability(net).chain.steady_state()
+        eager = sum(
+            p * serve.rate_in(m) for m, p in pi.items() if serve.is_enabled(m)
+        )
+        lazy = StochasticRewardNet(net).throughput("serve")
         assert lazy == pytest.approx(eager, rel=1e-10)
 
     def test_mean_time_to_matches_eager(self):
         net = machine_repairman(3, 0.1, 1.0)
-        cond = lambda m: m["up"] == 0  # noqa: E731
-        eager = StochasticRewardNet(net).mean_time_to(cond)
-        lazy = StochasticRewardNet(net, lazy=True).mean_time_to(cond)
+        reference = reference_reachability(net)
+        targets = [m for m in reference.chain.states if m["up"] == 0]
+        eager = reference.chain.mean_time_to_absorption(
+            reference.initial, absorbing=targets
+        )
+        lazy = StochasticRewardNet(net).mean_time_to(lambda m: m["up"] == 0)
         assert lazy == pytest.approx(eager, rel=1e-8)
 
     def test_transient_reward_matches_eager(self):
         net = mm1k()
         ts = [0.5, 2.0]
-        eager = StochasticRewardNet(net).transient_reward_rate(
-            lambda m: float(m["queue"]), ts
-        )
-        lazy = StochasticRewardNet(net, lazy=True).transient_reward_rate(
+        reference = reference_reachability(net)
+        rewards = np.array([float(m["queue"]) for m in reference.chain.states])
+        eager = reference.chain.transient(ts, reference.initial) @ rewards
+        lazy = StochasticRewardNet(net).transient_reward_rate(
             lambda m: float(m["queue"]), ts
         )
         np.testing.assert_allclose(lazy, eager, atol=1e-9)

@@ -25,39 +25,6 @@ def codes(findings):
     return [code for _path, _line, code, _msg in findings]
 
 
-class TestR001DeprecatedStrategy:
-    def test_flags_strategy_kwarg(self, tmp_path):
-        findings = lint_source(
-            tmp_path,
-            """
-            from repro.markov.fallback import solve_steady_state
-            report = solve_steady_state(q, strategy="gth")
-            """,
-        )
-        assert codes(findings) == ["R001"]
-        assert "method=" in findings[0][3]
-
-    def test_flags_attribute_calls(self, tmp_path):
-        findings = lint_source(
-            tmp_path,
-            """
-            import repro.markov.fallback as fb
-            fb.steady_state_report(q, strategy="auto")
-            """,
-        )
-        assert codes(findings) == ["R001"]
-
-    def test_method_kwarg_is_fine(self, tmp_path):
-        findings = lint_source(
-            tmp_path,
-            """
-            solve_steady_state(q, method="gth")
-            other_function(strategy="whatever")
-            """,
-        )
-        assert findings == []
-
-
 class TestR002MutableDefaults:
     @pytest.mark.parametrize(
         "default", ["[]", "{}", "{1}", "list()", "dict()", "set()", "deque()"]
@@ -136,7 +103,8 @@ class TestNoqaWaiver:
         findings = lint_source(
             tmp_path,
             """
-            solve_steady_state(q, strategy="gth")  # noqa: R001 (bit-identity)
+            def f(x=[]):  # noqa: R002 (shared on purpose)
+                pass
             """,
         )
         assert findings == []
@@ -145,10 +113,11 @@ class TestNoqaWaiver:
         findings = lint_source(
             tmp_path,
             """
-            solve_steady_state(q, strategy="gth")  # noqa: R002
+            def f(x=[]):  # noqa: R004
+                pass
             """,
         )
-        assert codes(findings) == ["R001"]
+        assert codes(findings) == ["R002"]
 
 
 class TestR003LazyNamespace:

@@ -4,13 +4,6 @@
 Stdlib-only (runs in the minimal CI image, where ruff/mypy may be
 absent).  Rules:
 
-``R001 deprecated-strategy-kwarg``
-    Internal callers must not pass the deprecated ``strategy=`` keyword
-    to the steady-state front doors (``solve_steady_state``,
-    ``steady_state_report``); the unified spelling is ``method=``.  The
-    shim exists for *external* callers only — tests exercising the
-    deprecation path are exempt (the ``tests/`` tree is not scanned).
-
 ``R002 mutable-default-arg``
     A ``def f(x=[])`` / ``def f(x={})`` / ``def f(x=set())`` default is
     shared across calls; use ``None`` plus an in-body default.
@@ -81,9 +74,6 @@ from typing import List, Tuple
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_PATHS = ("src/repro", "examples", "benchmarks", "tools")
 
-#: front doors whose ``strategy=`` keyword is deprecated (R001)
-DEPRECATED_STRATEGY_CALLEES = {"solve_steady_state", "steady_state_report"}
-
 Finding = Tuple[str, int, str, str]  # (path, line, code, message)
 
 
@@ -94,28 +84,6 @@ def _callee_name(func: ast.expr) -> str:
     if isinstance(func, ast.Name):
         return func.id
     return ""
-
-
-def check_strategy_kwarg(tree: ast.AST, path: str) -> List[Finding]:
-    """R001: deprecated ``strategy=`` keyword on the steady-state front doors."""
-    findings = []
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        if _callee_name(node.func) not in DEPRECATED_STRATEGY_CALLEES:
-            continue
-        for keyword in node.keywords:
-            if keyword.arg == "strategy":
-                findings.append(
-                    (
-                        path,
-                        node.lineno,
-                        "R001",
-                        f"deprecated strategy= keyword in call to "
-                        f"{_callee_name(node.func)}(); use method=",
-                    )
-                )
-    return findings
 
 
 _MUTABLE_DISPLAYS = (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)
@@ -664,14 +632,12 @@ def lint_file(py_path: Path) -> List[Finding]:
     """All per-file rules over one source file.
 
     A ``# noqa: R00x`` comment on the flagged line waives that rule
-    there — for code that exists *to* exercise a deprecated path (e.g.
-    the strategy=/method= bit-identity benchmark).
+    there.
     """
     path = str(py_path)
     source = py_path.read_text()
     tree = ast.parse(source, filename=path)
-    findings = check_strategy_kwarg(tree, path)
-    findings += check_mutable_defaults(tree, path)
+    findings = check_mutable_defaults(tree, path)
     findings += check_all_names(tree, path)
     findings += check_serve_error_records(tree, path)
     findings += check_store_sqlite(tree, path)
