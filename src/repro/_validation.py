@@ -7,7 +7,8 @@ messages are uniform across the library.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+import math
+from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -21,6 +22,7 @@ __all__ = [
     "check_time",
     "check_times",
     "as_time_array",
+    "initial_vector",
 ]
 
 
@@ -86,3 +88,23 @@ def check_unique_names(names: Sequence[str], what: str = "component") -> None:
         if name in seen:
             raise ModelDefinitionError(f"duplicate {what} name: {name!r}")
         seen.add(name)
+
+
+def initial_vector(initial, n: int, index_of: Callable[[Hashable], int]) -> np.ndarray:
+    """Initial probability vector from a state label or a distribution.
+
+    ``initial`` is either one state label (all mass there) or a
+    ``{label: probability}`` mapping whose probabilities sum to 1;
+    ``index_of`` maps a label to its index in the ``n``-state chain.
+    """
+    vec = np.zeros(n)
+    if isinstance(initial, Mapping):
+        total = 0.0
+        for state, prob in initial.items():
+            vec[index_of(state)] = float(prob)
+            total += float(prob)
+        if not math.isclose(total, 1.0, abs_tol=1e-9):
+            raise ModelDefinitionError(f"initial probabilities sum to {total}, expected 1")
+    else:
+        vec[index_of(initial)] = 1.0
+    return vec

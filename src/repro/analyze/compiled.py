@@ -3,7 +3,7 @@
 :func:`validate_terms` is the shared strict walk —
 :meth:`CompiledCTMC.validate` delegates to it, so the raise-mode contract
 (a ``KeyError`` for a missing parameter, the ``check_rate``
-:class:`~repro.exceptions.DistributionError` for a bad value, in slot
+:class:`~repro.exceptions.DistributionError` for a bad value, in term
 order) cannot drift between the fill path and the lint.  The collect-mode
 functions translate those same failures into C001/C002 diagnostics, and
 — when a full parameter point is supplied — lint the filled generator
@@ -26,22 +26,22 @@ __all__ = [
 ]
 
 
-def validate_terms(slot_terms, values: Mapping[str, float]) -> None:
+def validate_terms(terms, values: Mapping[str, float]) -> None:
     """Strict per-term rate check, shared with :meth:`CompiledCTMC.validate`.
 
-    Raises exactly what :meth:`CompiledCTMC.fill` would raise, in the
-    same order: ``KeyError`` when a term reads an unsupplied parameter,
+    ``terms`` is a compiled chain's interned term list.  Raises exactly
+    what :meth:`CompiledCTMC.fill` would raise, in the same order:
+    ``KeyError`` when a term reads an unsupplied parameter,
     :class:`~repro.exceptions.DistributionError` when a rate is not
     positive and finite.
     """
-    for _, _, terms in slot_terms:
-        for term in terms:
-            check_rate(term(values))
+    for term in terms:
+        check_rate(term(values))
 
 
 def term_parameters(term) -> Tuple[str, ...]:
     """Parameter names one rate term reads, in first-use order."""
-    from ..compile.ctmc import Complement, Param, Scaled, Times
+    from ..compile.ctmc import Complement, Param, Scaled, Sum, Times
 
     names: dict = {}
 
@@ -53,6 +53,9 @@ def term_parameters(term) -> Tuple[str, ...]:
             walk(t.right)
         elif isinstance(t, Complement):
             walk(t.term)
+        elif isinstance(t, Sum):
+            for part in t.terms:
+                walk(part)
 
     walk(term)
     return tuple(names)
@@ -71,16 +74,17 @@ def lint_compiled_ctmc(
     rates, and (when every slot fills cleanly) the full Markov lint of
     the filled generator.
     """
+    from ..compile.ctmc import Sum
+
     diagnostics: List[Diagnostic] = []
     if values is None:
         return diagnostics
     clean = True
     reported_missing = set()
-    for i, j, terms in compiled._slot_terms:
-        location = (
-            f"transition {compiled.states[i]!r} -> {compiled.states[j]!r}"
-        )
-        for term in terms:
+    for i, j, tid in zip(compiled._trip_rows, compiled._trip_cols, compiled._term_ids):
+        location = f"transition {compiled.states[i]!r} -> {compiled.states[j]!r}"
+        slot = compiled._terms[tid]
+        for term in slot.terms if isinstance(slot, Sum) else (slot,):
             missing = [
                 name
                 for name in term_parameters(term)
@@ -165,7 +169,7 @@ def lint_compiled_evaluator(
         # defaults for the rest — so a chain parameter is only
         # "unsupplied" (C001) when *neither* the assignment nor the
         # evaluator's accepted parameter set can ever provide it.
-        orphaned = [name for name in chain.parameters() if name not in known]
+        orphaned = [name for name in chain.parameters if name not in known]
         for name in orphaned:
             diagnostics.append(
                 Diagnostic(
@@ -177,7 +181,7 @@ def lint_compiled_evaluator(
             )
         # Value-level checks need a complete point; a partial assignment
         # cannot distinguish "bad value" from "default not yet applied".
-        if values is not None and not orphaned and set(chain.parameters()) <= set(values):
+        if values is not None and not orphaned and set(chain.parameters) <= set(values):
             for diag in lint_compiled_ctmc(chain, values=values, query=query):
                 diagnostics.append(
                     Diagnostic(

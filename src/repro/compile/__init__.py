@@ -3,13 +3,18 @@
 Separates **symbolic structure** (built once) from **numeric fill**
 (per sweep point):
 
-* :class:`CompiledCTMC` — frozen state order + sparsity pattern,
-  ``fill``-into-preallocated-buffers, pattern-reusing solves;
-* :class:`CompiledSparseCTMC` — the large-state-space counterpart:
-  frozen CSR ``indices``/``indptr`` from one lazy-reachability BFS,
-  rate-only refills, preconditioner reuse and warm-started Krylov
-  sweeps (:func:`continuation_order` orders campaigns so neighbors
-  stay close in parameter space);
+* one compiled-chain core (:mod:`repro.compile.ctmc`) — a frozen CSR
+  pattern plus interned symbolic rate terms, a ``fill`` of the CSR
+  ``data`` into thread-local buffers and one bounded memo — with two
+  front ends:
+
+  * :class:`CompiledCTMC` — labelled small chains: GTH / direct /
+    power steady state, transient, from a ``CTMC`` or hand-written
+    rate terms;
+  * :class:`CompiledSparseCTMC` — large state spaces from one
+    lazy-reachability BFS: preconditioner reuse and warm-started
+    Krylov sweeps (:func:`continuation_order` orders campaigns so
+    neighbors stay close in parameter space);
 * :class:`CompiledStructureFunction` — RBD/fault-tree structure
   lowered once, all sweep points evaluated in one vectorized pass;
 * :func:`compile_model` / :func:`supports_compilation` — turn case

@@ -4,29 +4,30 @@ A parameter sweep over a CTMC model re-solves the *same* chain topology
 at every point — only the numeric rates change.  The uncompiled path
 rebuilds everything per point: label→index maps, the rate dictionary,
 the COO triplets, the CSR generator, and (for reliability measures) a
-second absorbing chain.  :class:`CompiledCTMC` hoists all of that out of
-the loop:
+second absorbing chain.  Compilation hoists all of that out of the loop
+with one core shared by both compiled chains:
 
-* the **state ordering** and the **sparsity pattern** (COO row/column
-  index arrays, one slot per distinct transition) are frozen at compile
-  time;
-* :meth:`fill` evaluates the symbolic rate terms into a preallocated
-  dense buffer (one per thread) — per-point cost is "evaluate the terms
-  and write ``nnz`` cells", not "rebuild the model";
-* :meth:`steady_state` feeds the filled buffer straight to the GTH
-  kernel with ``validated=True`` (the fill itself enforces positive
-  finite rates, exactly like :meth:`repro.markov.CTMC.add_transition`);
-  the sparse-direct method reuses a precomputed CSC pattern so each
-  solve only writes a data vector;
-* :meth:`transient` assembles the CSR generator from the frozen pattern
-  and delegates to :func:`~repro.markov.solvers.solve_transient`, whose
-  Poisson truncation points are memoized on ``(λt, tol)`` — nearby
-  points with identical rates share the truncation machinery.
+* the **CSR pattern** (``indices``/``indptr``) is frozen at compile
+  time, together with the off-diagonal triplet coordinates, one
+  interned symbolic :class:`RateTerm` per distinct rate expression and a
+  per-triplet multiplier;
+* ``fill`` evaluates each distinct term once per point and scatters
+  ``term × multiplier`` into a preallocated thread-local ``data``
+  buffer — per-point cost is "evaluate the terms and write ``nnz``
+  cells", not "rebuild the model";
+* one bounded memo serves repeated points.
+
+:class:`CompiledCTMC` is the labelled front end for small chains: GTH
+runs on a dense matrix scattered from the filled ``data``, the
+sparse-direct and power methods and :meth:`~CompiledCTMC.transient` run
+on the CSR generator.  The large-state-space front end is
+:class:`~repro.compile.sparse.CompiledSparseCTMC`.
 
 Results are **bit-identical** to building the equivalent
-:class:`~repro.markov.CTMC` and solving it: the fill accumulates
-duplicate transitions and the diagonal in the same floating-point order
-as ``CTMC.add_transition`` + ``CTMC.generator()``.
+:class:`~repro.markov.CTMC` and solving it: repeated ``(i, j)``
+transitions are folded into one :class:`Sum` term that accumulates them
+in insertion order, and the diagonal is summed in triplet order — the
+floating-point order of ``CTMC.add_transition`` + ``CTMC.generator()``.
 
 Rates are expressed as picklable :class:`RateTerm` objects over a
 parameter mapping (:class:`Const`, :class:`Param`, :class:`Scaled`,
@@ -39,13 +40,12 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, List, Mapping, Sequence, Tuple
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse import linalg as sparse_linalg
 
-from .._validation import check_rate
+from .._validation import check_rate, initial_vector
 from ..exceptions import ModelDefinitionError, SolverError
 from ..markov.solvers import gth_solve, solve_transient, steady_state_direct, steady_state_power
 from ..obs.trace import get_tracer
@@ -57,6 +57,7 @@ __all__ = [
     "Scaled",
     "Times",
     "Complement",
+    "Sum",
     "CompiledCTMC",
 ]
 
@@ -90,7 +91,7 @@ class Param(RateTerm):
     """The rate is the parameter ``name`` itself.
 
     Returns the raw mapping value (no float coercion): validation and
-    conversion happen in :meth:`CompiledCTMC.fill`, in the same order
+    conversion happen in ``fill``, in the same order
     ``CTMC.add_transition`` applies them.
     """
 
@@ -132,7 +133,223 @@ class Complement(RateTerm):
         return 1.0 - self.term(values)
 
 
-class CompiledCTMC:
+@dataclass(frozen=True)
+class Sum(RateTerm):
+    """Accumulated rate of one ``(i, j)`` pair added several times.
+
+    Checks each component with ``check_rate`` and adds them as
+    ``0.0 + r1 + r2 …`` in order — exactly what repeated
+    ``CTMC.add_transition`` calls store for the pair.
+    """
+
+    terms: Tuple[RateTerm, ...]
+
+    def __call__(self, values: Mapping[str, float]) -> float:
+        total = 0.0
+        for term in self.terms:
+            rate = term(values)
+            check_rate(rate)
+            total = total + float(rate)
+        return total
+
+
+class _FrozenChain:
+    """Frozen CSR pattern plus interned rate terms: the one compiled fill.
+
+    Parameters
+    ----------
+    n / indices / indptr:
+        The frozen CSR pattern, diagonal included.  The arrays are never
+        copied or re-sorted, so refills leave them byte-identical.
+    trip_rows / trip_cols:
+        Off-diagonal triplet coordinates in build order.
+    terms / term_ids / multipliers:
+        ``terms`` holds the distinct interned rate terms; triplet ``k``
+        is worth ``terms[term_ids[k]](values) * multipliers[k]``.
+    """
+
+    _MEMO_LIMIT = 1024
+    #: attributes rebuilt in each process instead of pickled
+    _PROCESS_LOCAL: Tuple[str, ...] = ("_local", "_memo")
+
+    def __init__(
+        self,
+        n: int,
+        indices: np.ndarray,
+        indptr: np.ndarray,
+        trip_rows: np.ndarray,
+        trip_cols: np.ndarray,
+        terms: Sequence[RateTerm],
+        term_ids: np.ndarray,
+        multipliers: np.ndarray,
+    ):
+        from ..analyze.compiled import term_parameters
+
+        self.n = int(n)
+        if self.n < 1:
+            raise ModelDefinitionError("chain has no states")
+        self._indices = np.asarray(indices)
+        self._indptr = np.asarray(indptr)
+        self._trip_rows = np.asarray(trip_rows, dtype=np.int64)
+        self._trip_cols = np.asarray(trip_cols, dtype=np.int64)
+        self._terms: Tuple[RateTerm, ...] = tuple(terms)
+        self._term_ids = np.asarray(term_ids, dtype=np.int64)
+        self._mult = np.asarray(multipliers, dtype=np.float64)
+        sizes = {a.size for a in (self._trip_rows, self._trip_cols, self._term_ids, self._mult)}
+        if len(sizes) != 1:
+            raise ModelDefinitionError("triplet arrays disagree in length")
+
+        # Map each triplet (and each diagonal entry) to its slot in the
+        # frozen CSR data array.  csr_key is strictly increasing (CSR
+        # from COO is deduplicated and column-sorted), so one
+        # searchsorted resolves every coordinate.
+        nnz = self._indices.size
+        row_of = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self._indptr))
+        csr_key = row_of * self.n + self._indices.astype(np.int64)
+        trip_key = self._trip_rows * self.n + self._trip_cols
+        self._trip_slots = np.searchsorted(csr_key, trip_key)
+        if self._trip_slots.size and (
+            self._trip_slots.max(initial=0) >= nnz
+            or not np.array_equal(csr_key[self._trip_slots], trip_key)
+        ):
+            raise ModelDefinitionError("triplet coordinates do not match the CSR pattern")
+        diag_key = np.arange(self.n, dtype=np.int64) * (self.n + 1)
+        self._diag_slots = np.searchsorted(csr_key, diag_key)
+        if self._diag_slots.size and not np.array_equal(csr_key[self._diag_slots], diag_key):
+            raise ModelDefinitionError("CSR pattern is missing diagonal entries")
+        # Duplicate (i, j) triplets (two transitions firing to the same
+        # target) need accumulation instead of a plain scatter.
+        self._has_duplicates = bool(
+            trip_key.size > 1 and np.any(np.diff(np.sort(trip_key)) == 0)
+        )
+        self._nnz = int(nnz)
+        names: Dict[str, None] = {}
+        for term in self._terms:
+            for name in term_parameters(term):
+                names.setdefault(name)
+        #: parameter names the rate terms read, in first-use order
+        self.parameters: Tuple[str, ...] = tuple(names)
+        self._local = threading.local()
+        self._memo: Dict[Tuple, object] = {}
+
+    # ---------------------------------------------------------- pickling
+    def __getstate__(self) -> Dict[str, object]:
+        state = dict(self.__dict__)
+        # Thread-local buffers, memos and derived caches never cross
+        # processes; workers rebuild them deterministically.
+        for name in self._PROCESS_LOCAL:
+            state[name] = None
+        return state
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        self.__dict__.update(state)
+        self._local = threading.local()
+        self._memo = {}
+
+    # ------------------------------------------------------------ access
+    @property
+    def n_states(self) -> int:
+        """Number of states (frozen order)."""
+        return self.n
+
+    @property
+    def nnz(self) -> int:
+        """Stored entries of the frozen CSR pattern (diagonal included)."""
+        return self._nnz
+
+    # -------------------------------------------------------------- fill
+    def _workspace(self) -> threading.local:
+        ws = self._local
+        if getattr(ws, "data", None) is None:
+            ws.data = np.zeros(self._nnz)
+            ws.tvals = np.empty(len(self._terms))
+            ws.trip = np.empty(self._term_ids.size)
+        return ws
+
+    def fill(self, values: Mapping[str, float]) -> np.ndarray:
+        """Evaluate the rate terms into the thread-local CSR data buffer.
+
+        Each *distinct* term is evaluated and ``check_rate``-validated
+        exactly once, in first-use order, so a bad parameter raises what
+        the uncompiled build would raise.  The per-triplet values are
+        one vectorized gather-and-scale; the diagonal accumulates
+        ``-Σ row`` in triplet order, bit-identical to the uncompiled
+        generator's in-order subtraction.  Returns the buffer — shared
+        per thread, copy it to keep it across fills.
+        """
+        tracer = get_tracer()
+        t0 = perf_counter()
+        ws = self._workspace()
+        for k, term in enumerate(self._terms):
+            rate = term(values)
+            check_rate(rate)
+            ws.tvals[k] = float(rate)
+        np.take(ws.tvals, self._term_ids, out=ws.trip)
+        ws.trip *= self._mult
+        data = ws.data
+        if self._has_duplicates:
+            data[...] = 0.0
+            np.add.at(data, self._trip_slots, ws.trip)
+        else:
+            data[self._trip_slots] = ws.trip
+        diag = np.bincount(self._trip_rows, weights=ws.trip, minlength=self.n)
+        np.negative(diag, out=diag)
+        data[self._diag_slots] = diag
+        if tracer.enabled:
+            tracer.metrics.counter("compile.fill_seconds").inc(perf_counter() - t0)
+        return data
+
+    def validate(self, values: Mapping[str, float]) -> None:
+        """Run the rate checks of :meth:`fill` without touching buffers.
+
+        Raises exactly what :meth:`fill` would raise, in the same order
+        — the cheap stand-in when a caller needs the error contract of a
+        model build but the solve itself will come from the memo.  The
+        walk lives in :func:`repro.analyze.compiled.validate_terms`, the
+        same scan the :func:`repro.analyze.analyze` lint reuses, so the
+        two accept/reject bit-identically by construction.
+        """
+        from ..analyze.compiled import validate_terms
+
+        validate_terms(self._terms, values)
+
+    def _csr(self, data: np.ndarray) -> sparse.csr_matrix:
+        return sparse.csr_matrix((data, self._indices, self._indptr), shape=(self.n, self.n))
+
+    def generator(self, values: Mapping[str, float]) -> sparse.csr_matrix:
+        """The filled generator as CSR (shares the frozen index arrays).
+
+        The returned matrix's ``indices``/``indptr`` are the compile-time
+        arrays themselves — refills can never perturb the pattern — and
+        its ``data`` is the thread-local fill buffer.
+        """
+        return self._csr(self.fill(values))
+
+    # -------------------------------------------------------------- memo
+    def _point_key(self, values: Mapping[str, float]) -> Tuple:
+        """Memo key of one parameter point: the raw swept values."""
+        return tuple(values[name] for name in self.parameters)
+
+    def _memoized(self, key: Tuple, compute: Callable[[], object], kind: str):
+        """The bounded memo: return ``compute()``, cached under ``key``.
+
+        Failures are never cached — an exception propagates and leaves
+        the memo untouched.
+        """
+        hit = self._memo.get(key)
+        if hit is not None:
+            tracer = get_tracer()
+            if tracer.enabled:
+                tracer.metrics.counter("compile.reuse", kind=kind).inc()
+            return hit
+        result = compute()
+        if len(self._memo) >= self._MEMO_LIMIT:
+            self._memo.clear()
+        self._memo[key] = result
+        return result
+
+
+class CompiledCTMC(_FrozenChain):
     """A CTMC whose structure is frozen and whose rates are symbolic.
 
     Parameters
@@ -143,8 +360,8 @@ class CompiledCTMC:
     transitions:
         ``(source_index, target_index, term)`` triples in the order the
         uncompiled constructor adds them.  Duplicate ``(i, j)`` pairs
-        accumulate in insertion order, exactly like repeated
-        ``add_transition`` calls.
+        are folded into one :class:`Sum` term that accumulates them in
+        insertion order, exactly like repeated ``add_transition`` calls.
 
     Examples
     --------
@@ -162,47 +379,41 @@ class CompiledCTMC:
         transitions: Sequence[Tuple[int, int, RateTerm]],
     ):
         self.states: Tuple[State, ...] = tuple(states)
-        self.n = len(self.states)
-        if self.n == 0:
+        n = len(self.states)
+        if n == 0:
             raise ModelDefinitionError("chain has no states")
         self._index: Dict[State, int] = {s: i for i, s in enumerate(self.states)}
-        if len(self._index) != self.n:
+        if len(self._index) != n:
             raise ModelDefinitionError("duplicate state labels")
-        # Group terms by (i, j) in first-insertion order — one COO slot
+        # Group terms by (i, j) in first-insertion order — one triplet
         # per distinct pair, matching the CTMC rate-dict accumulation.
         slots: Dict[Tuple[int, int], List[RateTerm]] = {}
         for i, j, term in transitions:
             i, j = int(i), int(j)
             if i == j:
                 raise ModelDefinitionError("self-loops are meaningless in a CTMC")
-            if not (0 <= i < self.n and 0 <= j < self.n):
-                raise ModelDefinitionError(
-                    f"transition ({i}, {j}) outside the {self.n}-state space"
-                )
+            if not (0 <= i < n and 0 <= j < n):
+                raise ModelDefinitionError(f"transition ({i}, {j}) outside the {n}-state space")
             slots.setdefault((i, j), []).append(term)
-        self._slot_terms: Tuple[Tuple[int, int, Tuple[RateTerm, ...]], ...] = tuple(
-            (i, j, tuple(terms)) for (i, j), terms in slots.items()
+        term_index: Dict[RateTerm, int] = {}
+        term_ids = []
+        for parts in slots.values():
+            term = parts[0] if len(parts) == 1 else Sum(tuple(parts))
+            term_ids.append(term_index.setdefault(term, len(term_index)))
+        pairs = np.array(list(slots), dtype=np.int64).reshape(-1, 2)
+        rows, cols = pairs[:, 0], pairs[:, 1]
+        diag = np.arange(n, dtype=np.int64)
+        # The exact COO → CSR conversion CTMC.generator() runs, so the
+        # pattern (index dtype included) matches it byte for byte.
+        pattern = sparse.csr_matrix(
+            (np.ones(rows.size + n), (np.concatenate([rows, diag]), np.concatenate([cols, diag]))),
+            shape=(n, n),
         )
-        nnz = len(self._slot_terms)
-        # Frozen COO pattern: transition slots first, diagonal last —
-        # the exact layout CTMC.generator() emits.
-        rows = np.empty(nnz + self.n, dtype=np.int64)
-        cols = np.empty(nnz + self.n, dtype=np.int64)
-        for k, (i, j, _) in enumerate(self._slot_terms):
-            rows[k] = i
-            cols[k] = j
-        rows[nnz:] = np.arange(self.n)
-        cols[nnz:] = np.arange(self.n)
-        self._coo_rows = rows
-        self._coo_cols = cols
-        self._nnz = nnz
-        # Lazily-built CSC pattern for the sparse-direct method.
-        self._direct_pattern: Optional[Tuple[np.ndarray, ...]] = None
-        self._local = threading.local()
-        self._param_names: Tuple[str, ...] = self.parameters()
-        # Stationary-vector memo keyed on (method, parameter values):
-        # in a sweep most leaf chains see the same rates at every point.
-        self._memo: Dict[Tuple, np.ndarray] = {}
+        super().__init__(
+            n, pattern.indices, pattern.indptr, rows, cols,
+            list(term_index), np.array(term_ids, dtype=np.int64), np.ones(rows.size),
+        )
+        self._row_of = np.repeat(diag, np.diff(self._indptr))
 
     @classmethod
     def from_ctmc(cls, chain) -> "CompiledCTMC":
@@ -219,18 +430,6 @@ class CompiledCTMC:
         ]
         return cls(chain.states, transitions)
 
-    # ---------------------------------------------------------- pickling
-    def __getstate__(self) -> Dict[str, object]:
-        state = dict(self.__dict__)
-        state["_local"] = None  # thread-local buffers never cross processes
-        state["_memo"] = {}  # solves are cheap to redo; keep payloads small
-        return state
-
-    def __setstate__(self, state: Dict[str, object]) -> None:
-        self.__dict__.update(state)
-        self._local = threading.local()
-
-    # ------------------------------------------------------------ access
     def index_of(self, state: State) -> int:
         """Index of a state label (frozen at compile time)."""
         try:
@@ -238,141 +437,37 @@ class CompiledCTMC:
         except KeyError:
             raise ModelDefinitionError(f"unknown state: {state!r}") from None
 
-    @property
-    def n_states(self) -> int:
-        """Number of states."""
-        return self.n
-
-    def parameters(self) -> Tuple[str, ...]:
-        """Parameter names the rate terms read, in first-use order."""
-        names: Dict[str, None] = {}
-
-        def walk(term: RateTerm) -> None:
-            if isinstance(term, (Param, Scaled)):
-                names.setdefault(term.name)
-            elif isinstance(term, Times):
-                walk(term.left)
-                walk(term.right)
-            elif isinstance(term, Complement):
-                walk(term.term)
-
-        for _, _, terms in self._slot_terms:
-            for term in terms:
-                walk(term)
-        return tuple(names)
-
-    # -------------------------------------------------------------- fill
-    def _workspace(self) -> threading.local:
-        ws = self._local
-        if getattr(ws, "dense", None) is None:
-            ws.dense = np.zeros((self.n, self.n))
-            ws.diag = np.zeros(self.n)
-            ws.vals = np.empty(self._nnz + self.n)
-        return ws
-
-    def fill(self, values: Mapping[str, float]) -> np.ndarray:
-        """Evaluate the rate terms into the preallocated dense generator.
-
-        Every term is validated with the same ``check_rate`` check (and
-        in the same order) as the equivalent ``add_transition`` calls,
-        so a bad parameter raises the identical
-        :class:`~repro.exceptions.DistributionError`.  Returns the
-        thread-local ``(n, n)`` buffer — copy it if you need to keep it
-        across calls.
-        """
-        ws = self._workspace()
-        dense = ws.dense
-        diag = ws.diag
-        vals = ws.vals
-        dense[...] = 0.0
-        diag[...] = 0.0
-        for k, (i, j, terms) in enumerate(self._slot_terms):
-            rate = 0.0
-            for term in terms:
-                r = term(values)
-                check_rate(r)
-                rate = rate + float(r)
-            vals[k] = rate
-            diag[i] -= rate
-            dense[i, j] = rate
-        vals[self._nnz :] = diag
-        dense[np.arange(self.n), np.arange(self.n)] = diag
-        return dense
-
-    def validate(self, values: Mapping[str, float]) -> None:
-        """Run the per-transition rate checks without touching buffers.
-
-        Raises exactly what :meth:`fill` would raise, in the same order
-        — the cheap stand-in when a caller needs the error contract of a
-        model build but the solve itself will come from the memo.  The
-        walk lives in :func:`repro.analyze.compiled.validate_terms`, the
-        same scan the :func:`repro.analyze.analyze` lint reuses, so the
-        two accept/reject bit-identically by construction.
-        """
-        from ..analyze.compiled import validate_terms
-
-        validate_terms(self._slot_terms, values)
-
-    def generator(self, values: Mapping[str, float]) -> sparse.csr_matrix:
-        """The filled generator as a CSR matrix (frozen pattern).
-
-        Bit-identical to ``CTMC.generator()`` of the equivalent chain:
-        same COO layout, same duplicate accumulation, same diagonal
-        subtraction order.
-        """
-        ws = self._workspace()
-        self.fill(values)
-        return sparse.csr_matrix(
-            (ws.vals.copy(), (self._coo_rows, self._coo_cols)),
-            shape=(self.n, self.n),
-            dtype=float,
-        )
-
     # ------------------------------------------------------------- solve
     def steady_state(self, values: Mapping[str, float], method: str = "gth") -> np.ndarray:
         """Stationary vector at one parameter point (index order).
 
-        ``method="gth"`` (default) runs GTH elimination on the filled
-        dense buffer; ``"direct"`` reuses the precomputed CSC pattern of
-        the normalized system across solves; ``"power"`` iterates on the
-        uniformized chain.  All three skip re-validation (the fill
-        enforces the generator invariants by construction) and return
-        the same bits as the uncompiled ``CTMC.steady_state``.
+        ``method="gth"`` (default) runs GTH elimination on a dense
+        matrix scattered from the filled ``data``; ``"direct"`` (sparse
+        LU) and ``"power"`` (power iteration on the uniformized chain)
+        run on the CSR generator.  All three skip re-validation (the
+        fill enforces the generator invariants by construction) and
+        return the same bits as the uncompiled ``CTMC.steady_state``.
         """
+        if method not in ("gth", "direct", "power"):
+            raise SolverError(f"unknown steady-state method {method!r}")
+        data = self.fill(values)
         tracer = get_tracer()
         t0 = perf_counter()
-        dense = self.fill(values)
-        t1 = perf_counter()
         if method == "gth":
+            dense = np.zeros((self.n, self.n))  # GTH is a dense kernel by design  # noqa: R007
+            dense[self._row_of, self._indices] = data
             pi = gth_solve(dense, validated=True)
-        elif method == "direct":
-            pi = self._steady_state_direct(dense)
-        elif method == "power":
-            ws = self._workspace()
-            q = sparse.csr_matrix(
-                (ws.vals.copy(), (self._coo_rows, self._coo_cols)),
-                shape=(self.n, self.n),
-                dtype=float,
-            )
-            pi = steady_state_power(q, validated=True)
         else:
-            raise SolverError(f"unknown steady-state method {method!r}")
+            kernel = steady_state_direct if method == "direct" else steady_state_power
+            pi = kernel(self._csr(data), validated=True)
         if tracer.enabled:
-            t2 = perf_counter()
             tracer.metrics.counter("compile.reuse", kind="ctmc").inc()
-            tracer.metrics.counter("compile.fill_seconds").inc(t1 - t0)
-            tracer.metrics.counter("compile.solve_seconds").inc(t2 - t1)
+            tracer.metrics.counter("compile.solve_seconds").inc(perf_counter() - t0)
         return pi
-
-    _MEMO_LIMIT = 1024
-
-    def memo_key(self, values: Mapping[str, float], method: str = "gth") -> Tuple:
-        """Memo key for one parameter point: the raw swept values."""
-        return (method,) + tuple(values[name] for name in self._param_names)
 
     def memoized(self, values: Mapping[str, float], method: str = "gth") -> bool:
         """Whether :meth:`steady_state_cached` would be a memo hit."""
-        return self.memo_key(values, method) in self._memo
+        return (method,) + self._point_key(values) in self._memo
 
     def steady_state_cached(self, values: Mapping[str, float], method: str = "gth") -> np.ndarray:
         """Memoized :meth:`steady_state` — treat the result as read-only.
@@ -387,86 +482,13 @@ class CompiledCTMC:
         would.  The returned array is shared with the memo: copy it
         before mutating.
         """
-        key = self.memo_key(values, method)
-        pi = self._memo.get(key)
-        if pi is None:
-            pi = self.steady_state(values, method)
-            if len(self._memo) >= self._MEMO_LIMIT:
-                self._memo.clear()
-            self._memo[key] = pi
-        else:
-            tracer = get_tracer()
-            if tracer.enabled:
-                tracer.metrics.counter("compile.reuse", kind="ctmc-memo").inc()
-        return pi
-
-    def _ensure_direct_pattern(self) -> Tuple[np.ndarray, ...]:
-        """CSC pattern of ``[Q^T with last row ← 1]``, built once.
-
-        The pattern depends only on the frozen transition structure
-        (explicit zeros are preserved through the conversions), so a
-        single template conversion — the exact
-        ``transpose().tolil()`` route of
-        :func:`~repro.markov.solvers.steady_state_direct` — yields the
-        index arrays every subsequent solve writes its data into.
-        """
-        if self._direct_pattern is None:
-            ws = self._workspace()
-            q = sparse.csr_matrix(
-                (ws.vals.copy(), (self._coo_rows, self._coo_cols)),
-                shape=(self.n, self.n),
-                dtype=float,
-            )
-            a = q.transpose().tolil()
-            a[self.n - 1, :] = 1.0
-            template = sparse.csc_matrix(a)
-            indices = template.indices.copy()
-            indptr = template.indptr.copy()
-            # Position p in column c holds A[r, c] = Q[c, r] (or 1.0 in
-            # the normalization row r = n-1).
-            col_of = np.repeat(np.arange(self.n), np.diff(indptr))
-            is_norm = indices == self.n - 1
-            self._direct_pattern = (indices, indptr, col_of, is_norm)
-        return self._direct_pattern
-
-    def _steady_state_direct(self, dense: np.ndarray) -> np.ndarray:
-        if self.n == 1:
-            return np.ones(1)
-        indices, indptr, col_of, is_norm = self._ensure_direct_pattern()
-        data = dense[col_of, indices]
-        data[is_norm] = 1.0
-        a = sparse.csc_matrix((data, indices, indptr), shape=(self.n, self.n))
-        b = np.zeros(self.n)
-        b[self.n - 1] = 1.0
-        try:
-            pi = sparse_linalg.spsolve(a, b)
-        except RuntimeError as exc:  # pragma: no cover - SuperLU failure path
-            raise SolverError(f"sparse direct solve failed: {exc}") from exc
-        if not np.all(np.isfinite(pi)):
-            raise SolverError("sparse direct solve produced non-finite probabilities")
-        pi = np.maximum(pi, 0.0)
-        total = pi.sum()
-        if total <= 0:
-            raise SolverError("sparse direct solve produced a zero vector")
-        return pi / total
+        return self._memoized(
+            (method,) + self._point_key(values),
+            lambda: self.steady_state(values, method),
+            "ctmc-memo",
+        )
 
     # --------------------------------------------------------- transient
-    def initial_vector(self, initial) -> np.ndarray:
-        """Initial probability vector from a label or a distribution."""
-        vec = np.zeros(self.n)
-        if isinstance(initial, Mapping):
-            total = 0.0
-            for state, prob in initial.items():
-                vec[self.index_of(state)] = float(prob)
-                total += float(prob)
-            if abs(total - 1.0) > 1e-9:
-                raise ModelDefinitionError(
-                    f"initial probabilities sum to {total}, expected 1"
-                )
-        else:
-            vec[self.index_of(initial)] = 1.0
-        return vec
-
     def transient(
         self,
         values: Mapping[str, float],
@@ -477,21 +499,14 @@ class CompiledCTMC:
     ) -> np.ndarray:
         """Transient probabilities ``(len(times), n)`` at one point.
 
-        Assembles the CSR generator from the frozen pattern and
-        delegates to :func:`~repro.markov.solvers.solve_transient`;
-        across nearby points with identical rates the Poisson truncation
-        points are served from the ``(λt, tol)`` memo instead of being
-        re-derived.
+        Fills the CSR generator and delegates to
+        :func:`~repro.markov.solvers.solve_transient`; across nearby
+        points with identical rates the Poisson truncation points are
+        served from the ``(λt, tol)`` memo instead of being re-derived.
         """
         ts = np.atleast_1d(np.asarray(times, dtype=float))
-        p0 = self.initial_vector(initial)
-        q = self.generator(values)
-        return solve_transient(q, p0, ts, method=method, tol=tol)
-
-    def steady_state_direct_reference(self, values: Mapping[str, float]) -> np.ndarray:
-        """Uncompiled-route direct solve (for verification): builds the
-        CSR generator and calls :func:`steady_state_direct` as-is."""
-        return steady_state_direct(self.generator(values), validated=True)
+        p0 = initial_vector(initial, self.n, self.index_of)
+        return solve_transient(self.generator(values), p0, ts, method=method, tol=tol)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"CompiledCTMC(n_states={self.n}, n_transitions={self._nnz})"
+        return f"CompiledCTMC(n_states={self.n}, n_transitions={self._trip_rows.size})"

@@ -4,16 +4,17 @@ A parameter sweep over a large-state-space chain re-runs BFS
 reachability, re-interns every marking, re-factors the preconditioner
 and cold-starts the Krylov iteration at **every** point — even though
 the CSR structure is rate-independent.  :class:`CompiledSparseCTMC` is
-the large-state-space counterpart of :class:`~repro.compile.ctmc.CompiledCTMC`:
+the large-state-space front end on the compiled core of
+:mod:`repro.compile.ctmc` (the same one :class:`~repro.compile.ctmc.CompiledCTMC`
+uses):
 
-* the CSR ``indices``/``indptr`` arrays are frozen at compile time
-  (byte-identical across every refill), together with one interned
-  symbolic :class:`~repro.compile.ctmc.RateTerm` per *distinct* rate
-  expression and a per-transition multiplier (the vanishing-resolution
-  probability);
-* :meth:`fill` evaluates the distinct terms once per point and scatters
-  ``term_value × multiplier`` into a preallocated thread-local ``data``
-  buffer — no re-BFS, no re-interning, O(nnz) work;
+* the core freezes the CSR ``indices``/``indptr`` arrays (byte-identical
+  across every refill), one interned symbolic
+  :class:`~repro.compile.ctmc.RateTerm` per *distinct* rate expression
+  and a per-transition multiplier (the vanishing-resolution
+  probability), and its ``fill`` scatters ``term_value × multiplier``
+  into a thread-local ``data`` buffer — no re-BFS, no re-interning,
+  O(nnz) work;
 * per-point solves reuse the previous point's solution as the Krylov
   initial guess (``x0=`` warm start) and reuse the preconditioner
   across points with an adaptive refresh policy: Jacobi is refreshed
@@ -28,12 +29,13 @@ consecutive points are nearest neighbors in (log-scaled, normalized)
 parameter space, which is what makes warm starts pay off under grids.
 
 The module deliberately never materializes a dense n×n array (lint rule
-R007 enforces it, exactly as for :mod:`repro.sparse`).
+R007 enforces it, exactly as for :mod:`repro.sparse` and the shared
+core).
 """
 
 from __future__ import annotations
 
-import threading
+from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -41,12 +43,18 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import linalg as sparse_linalg
 
-from .._validation import check_rate
 from ..exceptions import ConvergenceError, ModelDefinitionError, SolverError
 from ..markov.fallback import SolverReport, solve_steady_state
 from ..markov.registry import consume_iterations
 from ..obs.trace import get_tracer
-from .ctmc import RateTerm
+from ..sparse.ctmc import SparseCTMC
+from ..sparse.krylov import (
+    ITERATIVE_METHODS,
+    PRECONDITIONERS,
+    augmented_system,
+    steady_state_iterative,
+)
+from .ctmc import _FrozenChain
 from .model import CompiledEvaluator
 
 __all__ = [
@@ -57,86 +65,50 @@ __all__ = [
 ]
 
 
+@dataclass
 class SweepStats:
     """Counters of one :meth:`CompiledSparseCTMC.sweep` run."""
 
-    __slots__ = (
-        "points",
-        "fills",
-        "warm_solves",
-        "cold_solves",
-        "fallbacks",
-        "precond_builds",
-        "precond_reuses",
-        "precond_refactors",
-        "iterations",
-        "fill_seconds",
-        "solve_seconds",
-    )
-
-    def __init__(self):
-        self.points = 0
-        self.fills = 0
-        self.warm_solves = 0
-        self.cold_solves = 0
-        self.fallbacks = 0
-        self.precond_builds = 0
-        self.precond_reuses = 0
-        self.precond_refactors = 0
-        self.iterations: List[Optional[int]] = []
-        self.fill_seconds = 0.0
-        self.solve_seconds = 0.0
+    points: int = 0
+    fills: int = 0
+    warm_solves: int = 0
+    cold_solves: int = 0
+    fallbacks: int = 0
+    precond_builds: int = 0
+    precond_reuses: int = 0
+    precond_refactors: int = 0
+    iterations: List[Optional[int]] = field(default_factory=list, repr=False)
+    fill_seconds: float = 0.0
+    solve_seconds: float = 0.0
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-safe summary (benchmarks persist this)."""
-        known = [i for i in self.iterations if i is not None]
-        return {
-            "points": self.points,
-            "fills": self.fills,
-            "warm_solves": self.warm_solves,
-            "cold_solves": self.cold_solves,
-            "fallbacks": self.fallbacks,
-            "precond_builds": self.precond_builds,
-            "precond_reuses": self.precond_reuses,
-            "precond_refactors": self.precond_refactors,
-            "mean_iterations": float(np.mean(known)) if known else None,
-            "max_iterations": max(known) if known else None,
-            "fill_seconds": self.fill_seconds,
-            "solve_seconds": self.solve_seconds,
-        }
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"SweepStats(points={self.points}, warm={self.warm_solves}, "
-            f"cold={self.cold_solves}, precond builds/reuses/refactors="
-            f"{self.precond_builds}/{self.precond_reuses}/{self.precond_refactors})"
-        )
+        summary: Dict[str, object] = dict(vars(self))
+        known = [i for i in summary.pop("iterations") if i is not None]
+        summary["mean_iterations"] = float(np.mean(known)) if known else None
+        summary["max_iterations"] = max(known) if known else None
+        return summary
 
 
-class CompiledSparseCTMC(CompiledEvaluator):
+class CompiledSparseCTMC(_FrozenChain, CompiledEvaluator):
     """A sparse CTMC with frozen CSR structure and symbolic rates.
 
     Built by :func:`repro.sparse.build_sparse_reachability` with
     ``rate_terms=`` (see :attr:`SparseReachabilityResult.compiled <repro.sparse.SparseReachabilityResult>`):
     the BFS runs exactly once, and every later parameter point is a
-    rate-only refill of the same ``data`` array.
+    rate-only refill of the same ``data`` array through the shared
+    compiled core (``fill``, ``generator``, ``validate`` and the bounded
+    memo live in :mod:`repro.compile.ctmc`).
 
     Parameters
     ----------
-    n / indices / indptr:
-        The frozen CSR pattern (the exact arrays of the generator the
-        lazy builder produced — they are never copied or re-sorted, so
-        refills leave them byte-identical).
-    trip_rows / trip_cols:
-        The streamed off-diagonal triplet coordinates in BFS order
-        (rows nondecreasing), one entry per transition firing.
-    terms / term_ids / multipliers:
-        ``terms`` holds the distinct interned rate terms;
-        ``term_ids[k]`` selects the term of triplet ``k`` and
-        ``multipliers[k]`` its vanishing-resolution probability, so
-        the triplet's value at a point is
-        ``terms[term_ids[k]](values) * multipliers[k]`` — the same
-        float expression the BFS computed as ``rate * prob``.
+    frozen:
+        The core's ``n, indices, indptr, trip_rows, trip_cols, terms,
+        term_ids, multipliers``: the exact CSR arrays of the generator
+        the lazy builder produced, the streamed triplets in BFS order
+        (one per transition firing) and, per triplet, its interned term
+        and vanishing-resolution probability — so a triplet's value is
+        the same float expression the BFS computed as ``rate * prob``.
     up / initial:
         Optional up-state mask (enables :meth:`availability`) and
         initial probability vector, both in BFS state order.
@@ -147,115 +119,27 @@ class CompiledSparseCTMC(CompiledEvaluator):
     """
 
     #: Below this many states the standard dense/direct fallback chain
-    #: wins and warm starts are pointless — same threshold as
-    #: :attr:`repro.sparse.SparseCTMC.ITERATIVE_LIMIT`.
-    ITERATIVE_LIMIT = 5_000
+    #: wins and warm starts are pointless.
+    ITERATIVE_LIMIT = SparseCTMC.ITERATIVE_LIMIT
 
-    _MEMO_LIMIT = 1024
+    _PROCESS_LOCAL = _FrozenChain._PROCESS_LOCAL + ("_ref_pi", "_aug")
 
     def __init__(
         self,
-        n: int,
-        indices: np.ndarray,
-        indptr: np.ndarray,
-        trip_rows: np.ndarray,
-        trip_cols: np.ndarray,
-        terms: Sequence[RateTerm],
-        term_ids: np.ndarray,
-        multipliers: np.ndarray,
+        *frozen,
         up: Optional[np.ndarray] = None,
         initial: Optional[np.ndarray] = None,
         build_values: Optional[Mapping[str, float]] = None,
     ):
-        self.n = int(n)
-        if self.n < 1:
-            raise ModelDefinitionError("chain has no states")
-        self._indices = np.asarray(indices)
-        self._indptr = np.asarray(indptr)
-        self._trip_rows = np.asarray(trip_rows, dtype=np.int64)
-        self._trip_cols = np.asarray(trip_cols, dtype=np.int64)
-        self._terms: Tuple[RateTerm, ...] = tuple(terms)
-        self._term_ids = np.asarray(term_ids, dtype=np.int64)
-        self._mult = np.asarray(multipliers, dtype=np.float64)
-        if not (self._trip_rows.size == self._trip_cols.size == self._term_ids.size == self._mult.size):
-            raise ModelDefinitionError("triplet arrays disagree in length")
+        super().__init__(*frozen)
         self.up = None if up is None else np.asarray(up, dtype=bool)
         self.initial = None if initial is None else np.asarray(initial, dtype=float)
         self._build_values: Dict[str, float] = dict(build_values or {})
-
-        # Map each streamed triplet (and each diagonal entry) to its slot
-        # in the frozen CSR data array.  csr_key is strictly increasing
-        # (CSR from COO is deduplicated and column-sorted), so one
-        # searchsorted resolves every coordinate.
-        nnz = self._indices.size
-        row_of = np.repeat(
-            np.arange(self.n, dtype=np.int64), np.diff(self._indptr)
-        )
-        csr_key = row_of * self.n + self._indices.astype(np.int64)
-        trip_key = self._trip_rows * self.n + self._trip_cols
-        self._trip_slots = np.searchsorted(csr_key, trip_key)
-        if self._trip_slots.size and (
-            self._trip_slots.max(initial=0) >= nnz
-            or not np.array_equal(csr_key[self._trip_slots], trip_key)
-        ):
-            raise ModelDefinitionError(
-                "triplet coordinates do not match the CSR pattern"
-            )
-        diag_key = np.arange(self.n, dtype=np.int64) * (self.n + 1)
-        self._diag_slots = np.searchsorted(csr_key, diag_key)
-        if self._diag_slots.size and not np.array_equal(
-            csr_key[self._diag_slots], diag_key
-        ):
-            raise ModelDefinitionError("CSR pattern is missing diagonal entries")
-        # Duplicate (i, j) triplets (two transitions firing to the same
-        # target) need accumulation instead of a plain scatter.
-        self._has_duplicates = bool(
-            trip_key.size > 1 and np.any(np.diff(np.sort(trip_key)) == 0)
-        )
-        self._nnz = int(nnz)
-        self.parameters = self._term_parameters()
-        self._local = threading.local()
-        self._memo: Dict[Tuple, float] = {}
         self._ref_pi: Optional[np.ndarray] = None
         self._aug: Optional[Tuple] = None
         tracer = get_tracer()
         if tracer.enabled:
             tracer.metrics.counter("compile.sparse.structure_builds").inc()
-
-    # ---------------------------------------------------------- pickling
-    def __getstate__(self) -> Dict[str, object]:
-        state = dict(self.__dict__)
-        # Thread-local buffers, memos and the assembled augmented system
-        # never cross processes; workers rebuild them deterministically.
-        state["_local"] = None
-        state["_memo"] = {}
-        state["_ref_pi"] = None
-        state["_aug"] = None
-        return state
-
-    def __setstate__(self, state: Dict[str, object]) -> None:
-        self.__dict__.update(state)
-        self._local = threading.local()
-
-    # ------------------------------------------------------------ access
-    @property
-    def n_states(self) -> int:
-        """Number of states (BFS order, frozen)."""
-        return self.n
-
-    @property
-    def nnz(self) -> int:
-        """Stored entries of the frozen CSR pattern (diagonal included)."""
-        return self._nnz
-
-    def _term_parameters(self) -> Tuple[str, ...]:
-        from ..analyze.compiled import term_parameters
-
-        names: Dict[str, None] = {}
-        for term in self._terms:
-            for name in term_parameters(term):
-                names.setdefault(name)
-        return tuple(names)
 
     def size(self) -> Dict[str, int]:
         """Model-scale metadata (serve-registry advertisement form)."""
@@ -265,61 +149,6 @@ class CompiledSparseCTMC(CompiledEvaluator):
             "n_components": 0,
             "n_structure_functions": 0,
         }
-
-    # -------------------------------------------------------------- fill
-    def _workspace(self) -> threading.local:
-        ws = self._local
-        if getattr(ws, "data", None) is None:
-            ws.data = np.zeros(self._nnz)
-            ws.tvals = np.empty(len(self._terms))
-            ws.trip = np.empty(self._term_ids.size)
-        return ws
-
-    def fill(self, values: Mapping[str, float]) -> np.ndarray:
-        """Evaluate the rate terms into the thread-local CSR data buffer.
-
-        Each *distinct* term is evaluated (and ``check_rate``-validated,
-        raising what the uncompiled net build would raise) exactly once;
-        the per-triplet values are one vectorized gather-and-scale.  The
-        diagonal accumulates ``-Σ row`` in triplet order, bit-identical
-        to the lazy builder's ``np.subtract.at``.  Returns the buffer —
-        shared per thread, copy it to keep it across fills.
-        """
-        tracer = get_tracer()
-        t0 = perf_counter()
-        ws = self._workspace()
-        for k, term in enumerate(self._terms):
-            rate = term(values)
-            check_rate(rate)
-            ws.tvals[k] = float(rate)
-        np.take(ws.tvals, self._term_ids, out=ws.trip)
-        ws.trip *= self._mult
-        data = ws.data
-        if self._has_duplicates:
-            data[...] = 0.0
-            np.add.at(data, self._trip_slots, ws.trip)
-        else:
-            data[self._trip_slots] = ws.trip
-        diag = np.bincount(self._trip_rows, weights=ws.trip, minlength=self.n)
-        np.negative(diag, out=diag)
-        data[self._diag_slots] = diag
-        if tracer.enabled:
-            tracer.metrics.counter("compile.sparse_fill_seconds").inc(
-                perf_counter() - t0
-            )
-        return data
-
-    def generator(self, values: Mapping[str, float]) -> sparse.csr_matrix:
-        """The filled generator as CSR (shares the frozen index arrays).
-
-        The returned matrix's ``indices``/``indptr`` are the compile-time
-        arrays themselves — refills can never perturb the pattern — and
-        its ``data`` is the thread-local fill buffer.
-        """
-        data = self.fill(values)
-        return sparse.csr_matrix(
-            (data, self._indices, self._indptr), shape=(self.n, self.n)
-        )
 
     # -------------------------------------------- augmented-system reuse
     def _ensure_system(self):
@@ -332,8 +161,6 @@ class CompiledSparseCTMC(CompiledEvaluator):
         single fancy-index gather instead of a transpose + vstack.
         """
         if self._aug is None:
-            from ..sparse.krylov import augmented_system
-
             probe = sparse.csr_matrix(
                 (
                     np.arange(2.0, self._nnz + 2.0),
@@ -432,19 +259,11 @@ class CompiledSparseCTMC(CompiledEvaluator):
         :meth:`CompiledCTMC.steady_state_cached`.
         """
         mask = self._up_mask()
-        key = tuple(values[name] for name in self.parameters)
-        hit = self._memo.get(key)
-        if hit is not None:
-            tracer = get_tracer()
-            if tracer.enabled:
-                tracer.metrics.counter("compile.reuse", kind="sparse-memo").inc()
-            return hit
-        pi = self.steady_state(values)
-        result = float(pi[mask].sum())
-        if len(self._memo) >= self._MEMO_LIMIT:
-            self._memo.clear()
-        self._memo[key] = result
-        return result
+        return self._memoized(
+            self._point_key(values),
+            lambda: float(self.steady_state(values)[mask].sum()),
+            "sparse-memo",
+        )
 
     def _up_mask(self) -> np.ndarray:
         if self.up is None:
@@ -505,6 +324,15 @@ class CompiledSparseCTMC(CompiledEvaluator):
             raise ModelDefinitionError(
                 f"unknown sweep order {order!r}; use None or 'continuation'"
             )
+        if method not in ITERATIVE_METHODS:
+            raise SolverError(
+                f"unknown iterative method {method!r}; use 'gmres' or 'bicgstab'"
+            )
+        if preconditioner not in PRECONDITIONERS:
+            raise SolverError(
+                f"unknown preconditioner {preconditioner!r}; "
+                "use 'jacobi', 'ilu' or 'none'"
+            )
         mask = self._up_mask()
         stats = SweepStats()
         self.last_sweep_stats = stats
@@ -537,38 +365,24 @@ class CompiledSparseCTMC(CompiledEvaluator):
             stats.fill_seconds += perf_counter() - t0
             a, b = self._assemble_system(data)
             t0 = perf_counter()
-            if preconditioner == "jacobi":
-                if m_op is None:
-                    m_op, jacobi_inv = self._jacobi(data)
-                    stats.precond_builds += 1
-                    if tracer.enabled:
-                        tracer.metrics.counter("compile.precond.build", kind="jacobi").inc()
-                else:
-                    self._jacobi(data, jacobi_inv)
-                    stats.precond_reuses += 1
-                    if tracer.enabled:
-                        tracer.metrics.counter("compile.precond.reuse", kind="jacobi").inc()
-            elif preconditioner == "ilu":
-                if m_op is None:
+            if preconditioner != "none":
+                reuse = m_op is not None
+                if preconditioner == "jacobi":
+                    if reuse:
+                        self._jacobi(data, jacobi_inv)
+                    else:
+                        m_op, jacobi_inv = self._jacobi(data)
+                elif not reuse:
                     m_op = self._factor_ilu(a)
-                    stats.precond_builds += 1
                     best_iters = None
-                    if tracer.enabled:
-                        tracer.metrics.counter("compile.precond.build", kind="ilu").inc()
-                else:
+                if reuse:
                     stats.precond_reuses += 1
-                    if tracer.enabled:
-                        tracer.metrics.counter("compile.precond.reuse", kind="ilu").inc()
-            elif preconditioner == "none":
-                m_op = None
-            else:
-                raise SolverError(
-                    f"unknown preconditioner {preconditioner!r}; "
-                    "use 'jacobi', 'ilu' or 'none'"
-                )
+                else:
+                    stats.precond_builds += 1
+                if tracer.enabled:
+                    event = "compile.precond.reuse" if reuse else "compile.precond.build"
+                    tracer.metrics.counter(event, kind=preconditioner).inc()
             try:
-                from ..sparse.krylov import steady_state_iterative
-
                 pi = steady_state_iterative(
                     None,
                     method=method,

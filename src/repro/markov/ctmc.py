@@ -29,13 +29,12 @@ A two-unit parallel system with a single shared repair facility::
 
 from __future__ import annotations
 
-import math
 from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
 from scipy import sparse
 
-from .._validation import check_rate
+from .._validation import check_rate, initial_vector
 from ..core.model import DependabilityModel
 from ..exceptions import ModelDefinitionError, SolverError, StateSpaceError
 from ..obs.trace import get_tracer
@@ -165,18 +164,7 @@ class CTMC:
         return [state for state, i in self._index.items() if i not in sources]
 
     def _initial_vector(self, initial) -> np.ndarray:
-        n = self.n_states
-        vec = np.zeros(n)
-        if isinstance(initial, Mapping):
-            total = 0.0
-            for state, prob in initial.items():
-                vec[self.index_of(state)] = float(prob)
-                total += float(prob)
-            if not math.isclose(total, 1.0, abs_tol=1e-9):
-                raise ModelDefinitionError(f"initial probabilities sum to {total}, expected 1")
-        else:
-            vec[self.index_of(initial)] = 1.0
-        return vec
+        return initial_vector(initial, self.n_states, self.index_of)
 
     # ------------------------------------------------------- steady state
     def steady_state(

@@ -9,12 +9,11 @@ robustness.
 
 from __future__ import annotations
 
-import math
-from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from .._validation import check_probability
+from .._validation import check_probability, initial_vector
 from ..exceptions import ModelDefinitionError, SolverError, StateSpaceError
 from .solvers import gth_solve
 
@@ -109,17 +108,7 @@ class DTMC:
         return [self._states[i] for i in range(self.n_states) if p[i, i] >= 1.0 - 1e-12]
 
     def _initial_vector(self, initial) -> np.ndarray:
-        vec = np.zeros(self.n_states)
-        if isinstance(initial, Mapping):
-            total = 0.0
-            for state, prob in initial.items():
-                vec[self.index_of(state)] = float(prob)
-                total += float(prob)
-            if not math.isclose(total, 1.0, abs_tol=1e-9):
-                raise ModelDefinitionError(f"initial probabilities sum to {total}, expected 1")
-        else:
-            vec[self.index_of(initial)] = 1.0
-        return vec
+        return initial_vector(initial, self.n_states, self.index_of)
 
     # ------------------------------------------------------------ analysis
     def steady_state(self) -> Dict[State, float]:

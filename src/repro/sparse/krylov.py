@@ -45,6 +45,8 @@ __all__ = [
     "transient_krylov",
 ]
 
+#: Krylov methods accepted by :func:`steady_state_iterative`.
+ITERATIVE_METHODS: Tuple[str, ...] = ("gmres", "bicgstab")
 #: Preconditioner spellings accepted by :func:`steady_state_iterative`.
 PRECONDITIONERS: Tuple[str, ...] = ("jacobi", "ilu", "none")
 
@@ -158,7 +160,7 @@ def steady_state_iterative(
     -------
     The stationary probability vector (clipped non-negative, normalized).
     """
-    if method not in ("gmres", "bicgstab"):
+    if method not in ITERATIVE_METHODS:
         raise SolverError(f"unknown iterative method {method!r}; use 'gmres' or 'bicgstab'")
     if not validated:
         from ..markov.solvers import validate_generator

@@ -62,7 +62,7 @@ class TestCompiledValidateBitIdentity:
         with pytest.raises(KeyError) as via_method:
             chain.validate({"lam": 1.0})
         with pytest.raises(KeyError) as via_shared:
-            validate_terms(chain._slot_terms, {"lam": 1.0})
+            validate_terms(chain._terms, {"lam": 1.0})
         assert str(via_method.value) == str(via_shared.value)
 
     def test_bad_rate_same_distribution_error(self):
@@ -71,11 +71,11 @@ class TestCompiledValidateBitIdentity:
         with pytest.raises(DistributionError) as via_method:
             chain.validate(values)
         with pytest.raises(DistributionError) as via_shared:
-            validate_terms(chain._slot_terms, values)
+            validate_terms(chain._terms, values)
         assert str(via_method.value) == str(via_shared.value)
 
     def test_clean_values_pass_both(self):
         chain = self._chain()
         values = {"lam": 1e-3, "mu": 0.5}
         chain.validate(values)
-        validate_terms(chain._slot_terms, values)
+        validate_terms(chain._terms, values)

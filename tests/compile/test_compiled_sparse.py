@@ -200,6 +200,35 @@ class TestSweep:
         with pytest.raises(ModelDefinitionError, match="unknown sweep order"):
             result.compiled.sweep([values], order="zigzag")
 
+    @pytest.mark.parametrize("krylov", [False, True], ids=["small", "krylov"])
+    @pytest.mark.parametrize(
+        "kwargs, error, match",
+        [
+            ({"order": "zigzag"}, ModelDefinitionError, "unknown sweep order"),
+            ({"method": "nonsense"}, SolverError, "unknown iterative method"),
+            ({"preconditioner": "bogus"}, SolverError, "unknown preconditioner"),
+        ],
+    )
+    def test_sweep_validates_arguments_before_filling(self, krylov, kwargs, error, match):
+        result, values = _build(_repairman_case)
+        compiled = result.compiled
+        if krylov:
+            compiled.ITERATIVE_LIMIT = 0
+        fills = []
+        compiled.fill = lambda point: fills.append(point)
+        with pytest.raises(error, match=match):
+            compiled.sweep([values], **kwargs)
+        assert fills == []
+
+    def test_sweep_krylov_branch_reached_with_zero_limit(self):
+        result, values = _build(_repairman_case)
+        compiled = result.compiled
+        compiled.ITERATIVE_LIMIT = 0
+        swept = compiled.sweep([values, dict(values, failure_rate=0.02)])
+        assert compiled.last_sweep_stats.fills == 2
+        assert compiled.last_sweep_stats.fallbacks == 0
+        assert swept[0] == pytest.approx(result.chain.availability(), abs=1e-10)
+
     def test_steady_state_rejects_unknown_x0_policy(self):
         result, values = _build(_repairman_case)
         with pytest.raises(SolverError, match="x0 policy"):

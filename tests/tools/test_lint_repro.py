@@ -282,7 +282,7 @@ class TestR006StoreSqlite:
 
 
 class TestR007SparseDensification:
-    """R007 is path-sensitive: it polices ``src/repro/sparse`` only."""
+    """R007 is path-sensitive: it polices the sparse and compiled-CSR code only."""
 
     def lint_at(self, tmp_path, relpath, source):
         path = tmp_path / relpath
@@ -325,6 +325,17 @@ class TestR007SparseDensification:
             """,
         )
         assert findings == []
+
+    def test_compiled_core_policed(self, tmp_path):
+        findings = self.lint_at(
+            tmp_path,
+            "src/repro/compile/ctmc.py",
+            """
+            import numpy as np
+            dense = np.zeros((n, n))
+            """,
+        )
+        assert codes(findings) == ["R007"]
 
     def test_other_packages_not_policed(self, tmp_path):
         findings = self.lint_at(

@@ -38,11 +38,13 @@ absent).  Rules:
     guarantees are built on.
 
 ``R007 sparse-densification``
-    ``src/repro/sparse`` exists to keep 10^5+-state chains in CSR
-    form end to end; a ``.toarray()`` / ``.todense()`` call or a dense
-    2-D allocation (``np.zeros((n, n))`` and friends) on those solver
-    hot paths silently reintroduces the O(n²) memory wall the
-    subsystem was built to remove.
+    ``src/repro/sparse`` and the compiled CSR core
+    (``src/repro/compile/ctmc.py``, ``src/repro/compile/sparse.py``)
+    exist to keep 10^5+-state chains in CSR form end to end; a
+    ``.toarray()`` / ``.todense()`` call or a dense 2-D allocation
+    (``np.zeros((n, n))`` and friends) on those solver hot paths
+    silently reintroduces the O(n²) memory wall the subsystem was
+    built to remove.
 
 ``R008 lock-discipline``
     The concurrent subsystems (``src/repro/serve``, ``src/repro/store``,
@@ -287,20 +289,23 @@ def check_store_sqlite(tree: ast.AST, path: str) -> List[Finding]:
 
 #: dense-allocation constructors checked by R007
 _DENSE_ALLOCATORS = {"zeros", "ones", "empty", "full"}
+#: path fragments R007 polices
+_R007_SCOPES = ("repro/sparse", "repro/compile/sparse", "repro/compile/ctmc")
 
 
 def check_sparse_densification(tree: ast.AST, path: str) -> List[Finding]:
     """R007: no densification on the sparse solver hot paths.
 
-    Checks files under ``src/repro/sparse`` and the compiled-sparse
-    sweep kernel ``src/repro/compile/sparse.py`` (same O(nnz) memory
+    Checks files under ``src/repro/sparse``, the compiled-sparse
+    sweep kernel ``src/repro/compile/sparse.py`` and the compiled fill
+    core it shares in ``src/repro/compile/ctmc.py`` (same O(nnz) memory
     contract): flags ``.toarray()`` / ``.todense()`` calls and 2-D
     dense allocations (``np.zeros((n, m))``,
     ``np.ones``/``np.empty``/``np.full`` likewise).  1-D vectors are
     the working currency of the iterative solvers and stay allowed.
     """
     norm = path.replace("\\", "/")
-    if "repro/sparse" not in norm and "repro/compile/sparse" not in norm:
+    if not any(scope in norm for scope in _R007_SCOPES):
         return []
     findings = []
     for node in ast.walk(tree):
