@@ -1,6 +1,6 @@
 """E35 — serving throughput: micro-batching + result cache vs naive.
 
-Claim: for a concurrent mixed workload over the eight case-study
+Claim: for a concurrent mixed workload over the nine case-study
 models, the daemon's micro-batcher (which coalesces and deduplicates
 concurrent queries into single :func:`~repro.engine.evaluate_batch`
 calls) sustains materially higher qps than the naive
@@ -44,6 +44,7 @@ def _workload(models):
         "telecom": ("coverage", (0.9, 0.95, 0.99)),
         "rejuvenation": ("interval", (120.0, 240.0, 480.0)),
         "boeing": ("event_probability", (5e-4, 1e-3, 2e-3)),
+        "nfvchain": ("failure_rate", (2e-4, 1e-3, 5e-3)),
     }
     scripts = []
     for c in range(N_CLIENTS):
@@ -114,7 +115,7 @@ def _run_mode(label, registry, scripts, **app_kwargs):
 
 
 def test_serving_throughput():
-    """Mixed 8-model workload: naive vs batched vs batched+cache."""
+    """Mixed nine-model workload: naive vs batched vs batched+cache."""
     registry = default_registry()
     models = registry.names()
     scripts = _workload(models)

@@ -4,7 +4,7 @@ The tutorial's models answer "what is the availability at *this*
 parameter point?"; this subsystem keeps those answers a ``curl`` away.
 A long-running HTTP daemon — stdlib only, zero new dependencies —
 serves availability queries against a :class:`ModelRegistry` of named
-models, preloaded with the eight tutorial case studies
+models, preloaded with the nine tutorial case studies
 (:func:`default_registry`) and open to user registrations.
 
 The serving pipeline reuses the library's own machinery end to end:

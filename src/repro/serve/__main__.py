@@ -7,7 +7,9 @@ requests and exits 0, a second force-exits
 on an ephemeral port, exercises every registered model over real HTTP —
 values must match direct evaluation bit-for-bit — probes the error
 paths (malformed JSON, unknown model) and the ``/metrics`` endpoint,
-shuts down gracefully, and exits non-zero on any mismatch.  CI runs the
+times keep-alive round trips on one connection (a reply split over two
+writes stalls ~40 ms on Nagle + delayed ACK), shuts down gracefully,
+and exits non-zero on any mismatch.  CI runs the
 selfcheck (see ``tools/check.sh``) so the serving stack cannot rot
 silently.
 """
@@ -17,8 +19,10 @@ from __future__ import annotations
 import argparse
 import http.client
 import json
+import statistics
 import sys
 import threading
+import time
 from typing import List, Optional, Tuple
 
 from ..robust.shutdown import GracefulShutdown
@@ -26,6 +30,11 @@ from .app import ServeApp, create_server
 from .registry import default_registry
 
 __all__ = ["main", "selfcheck"]
+
+#: Keep-alive transport guard: a Nagle/delayed-ACK stall is ~40 ms per
+#: round trip, so a 10 ms median leaves a 4x margin.
+KEEPALIVE_ROUND_TRIPS = 20
+KEEPALIVE_MEDIAN_MS = 10.0
 
 
 def _request(
@@ -115,6 +124,26 @@ def selfcheck(quiet: bool = False) -> int:
             "unknown model -> 404 structured error",
         )
 
+        connection = http.client.HTTPConnection(host, port, timeout=30)
+        round_trips = []
+        try:
+            for _ in range(KEEPALIVE_ROUND_TRIPS):
+                started = time.perf_counter()
+                connection.request(
+                    "POST", f"/models/{name}/evaluate", body=b"{}",
+                    headers={"Content-Type": "application/json"},
+                )
+                connection.getresponse().read()
+                round_trips.append(time.perf_counter() - started)
+        finally:
+            connection.close()
+        median_ms = 1e3 * statistics.median(round_trips)
+        check(
+            median_ms < KEEPALIVE_MEDIAN_MS,
+            f"{KEEPALIVE_ROUND_TRIPS} keep-alive round trips, median "
+            f"{median_ms:.2f} ms < {KEEPALIVE_MEDIAN_MS:g} ms",
+        )
+
         status, body = _request(host, port, "GET", "/metrics")
         text = body.decode()
         check(
@@ -142,7 +171,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--models",
         nargs="+",
         metavar="NAME",
-        help="serve only these registered case studies (default: all eight)",
+        help="serve only these registered case studies (default: all nine)",
     )
     parser.add_argument(
         "--no-batching",

@@ -25,6 +25,7 @@ envelope — a client never sees a bare traceback.
 
 from __future__ import annotations
 
+import socket
 import threading
 from collections import deque
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -62,7 +63,7 @@ class ServeApp:
     ----------
     registry:
         Models to serve; defaults to :func:`~repro.serve.default_registry`
-        (the eight tutorial case studies).
+        (the nine tutorial case studies).
     batching:
         Route point queries through a :class:`~repro.serve.MicroBatcher`
         (the default).  ``False`` evaluates synchronously in the request
@@ -313,38 +314,80 @@ class ServeApp:
 
 class _Handler(BaseHTTPRequestHandler):
     """Thin adapter: socket in, ``app.handle`` out.  Subclassed per
-    server by :func:`create_server` to bind the ``app`` attribute."""
+    server by :func:`create_server` to bind the ``app`` attribute.
+
+    Every response -- status line, headers and body -- leaves in one
+    socket write (:meth:`_send`).  Headers and body as two small writes
+    would park the body behind Nagle's algorithm until the client's
+    delayed ACK (~40 ms per keep-alive request).
+    """
 
     protocol_version = "HTTP/1.1"  # keep-alive: required for sane qps
     app: ServeApp
 
     def _dispatch(self) -> None:
+        close = False
         try:
-            length = int(self.headers.get("Content-Length") or 0)
-            body = self.rfile.read(length) if length > 0 else b""
+            body = self._read_body()
             status, content_type, payload = self.app.handle(
                 self.command, self.path, body
             )
-            self.send_response(status)
-            self.send_header("Content-Type", content_type)
-            self.send_header("Content-Length", str(len(payload)))
-            self.end_headers()
-            self.wfile.write(payload)
+        except RequestError as exc:
+            # Malformed framing: the body's extent is unknown, so the
+            # rest of the stream cannot be parsed as further requests.
+            status, content_type, payload = exc.status, JSON, error_body(exc.record)
+            close = True
         except Exception as exc:
-            # Transport-level failure (client hung up mid-write, bad
-            # framing): best-effort ErrorRecord response, never a dump.
+            # Transport-level failure before anything was sent: one
+            # ErrorRecord response, never a traceback.
             record = ErrorRecord(
                 index=0, error_type=type(exc).__name__, message=str(exc)
             )
-            try:
-                payload = error_body(record)
-                self.send_response(500)
-                self.send_header("Content-Type", JSON)
-                self.send_header("Content-Length", str(len(payload)))
-                self.end_headers()
-                self.wfile.write(payload)
-            except OSError:
-                pass  # connection already gone
+            status, content_type, payload = 500, JSON, error_body(record)
+            close = True
+        self._send(status, content_type, payload, close=close)
+
+    def _read_body(self) -> bytes:
+        raw = (self.headers.get("Content-Length") or "0").strip()
+        if not (raw.isascii() and raw.isdigit()):
+            raise RequestError(
+                400,
+                "MalformedRequest",
+                f"Content-Length must be a non-negative integer, got {raw!r}",
+            )
+        length = int(raw)
+        return self.rfile.read(length) if length else b""
+
+    def _send(self, status: int, content_type: str, payload: bytes, close: bool) -> None:
+        """Write one complete response with a single socket write."""
+        lines = [
+            f"{self.protocol_version} {status} {self.responses[status][0]}",
+            f"Server: {self.version_string()}",
+            f"Date: {self.date_time_string()}",
+            f"Content-Type: {content_type}",
+            f"Content-Length: {len(payload)}",
+        ]
+        if close:
+            lines.append("Connection: close")
+            self.close_connection = True
+        head = ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
+        if self.command == "HEAD":
+            payload = b""
+        try:
+            self.wfile.write(head + payload)
+        except OSError:
+            # Part of the response may already be on the wire: nothing
+            # further can be framed on this connection.
+            self.close_connection = True
+
+    def send_error(self, code: int, message=None, explain=None) -> None:
+        # The stdlib's own rejections (bad request line, unsupported
+        # method, oversized headers) leave as ErrorRecord envelopes too.
+        reason = self.responses[code][0]
+        record = ErrorRecord(
+            index=0, error_type=reason.replace(" ", ""), message=message or reason
+        )
+        self._send(code, JSON, error_body(record), close=True)
 
     do_GET = _dispatch
     do_POST = _dispatch
@@ -354,6 +397,14 @@ class _Handler(BaseHTTPRequestHandler):
     def log_message(self, format: str, *args) -> None:
         # Access logging goes through the metrics registry, not stderr.
         pass
+
+
+class _Server(ThreadingHTTPServer):
+    # socketserver listens with a backlog of 5: a burst of new
+    # connections overflows it and each dropped SYN costs the client a
+    # 1 s retransmit.  Let the kernel's own cap decide instead.
+    request_queue_size = socket.SOMAXCONN
+    daemon_threads = True
 
 
 class ServeServer:
@@ -369,8 +420,7 @@ class ServeServer:
     def __init__(self, app: ServeApp, host: str = "127.0.0.1", port: int = 8000):
         handler = type("BoundHandler", (_Handler,), {"app": app})
         self.app = app
-        self._httpd = ThreadingHTTPServer((host, port), handler)
-        self._httpd.daemon_threads = True
+        self._httpd = _Server((host, port), handler)
         self._thread: Optional[threading.Thread] = None
         self._closed = False
 
