@@ -23,6 +23,12 @@ tasks are flagged against a soft wall-clock budget, and a process pool
 that a dying worker takes down is recovered by re-dispatching the
 unfinished chunks serially.  ``policy=None`` keeps the historical
 fail-fast behaviour bit for bit.
+
+An executor is also a context manager: inside ``with executor:`` the
+pool backends keep one worker pool alive across ``run`` calls, so a
+chunked campaign forks its workers (and ships a ``__ship_once__``
+evaluator into them) once instead of once per chunk.  Outside a
+``with`` each ``run`` holds its pool for that one batch.
 """
 
 from __future__ import annotations
@@ -30,7 +36,9 @@ from __future__ import annotations
 import concurrent.futures
 import itertools
 import math
+import os
 import pickle
+import threading
 import time
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -95,14 +103,44 @@ _SHIPPED_EVALUATORS: Dict[str, Any] = {}
 _ship_counter = itertools.count()
 
 
-def _install_shipped_evaluator(key: str, payload: bytes) -> None:
-    """Pool initializer: unpickle a ship-once evaluator into the worker.
+#: seconds between a pool worker's checks that its parent is still alive
+_ORPHAN_POLL = 0.25
 
-    Runs exactly once per worker process, so a compiled evaluator (which
-    may carry sizeable frozen structure) crosses the process boundary
-    once per worker instead of once per submitted chunk.
+
+def _exit_when_orphaned() -> None:
+    """Worker watchdog: exit as soon as the parent process is gone.
+
+    A ``ProcessPoolExecutor`` worker whose parent is SIGKILLed stays
+    blocked on its call queue forever; re-parenting changes
+    ``os.getppid()``, which is the signal to leave.
     """
-    _SHIPPED_EVALUATORS[key] = pickle.loads(payload)
+    parent = os.getppid()
+    while os.getppid() == parent:
+        time.sleep(_ORPHAN_POLL)
+    os._exit(1)
+
+
+def _init_worker(shipped: Optional[Tuple[str, bytes]] = None) -> None:
+    """Initializer of every process pool the library builds.
+
+    Starts the orphan watchdog, then unpickles a ship-once evaluator
+    into the worker's registry: a compiled evaluator (which may carry
+    sizeable frozen structure) crosses the process boundary once per
+    worker instead of once per submitted chunk.
+    """
+    threading.Thread(target=_exit_when_orphaned, name="repro-orphan-watch", daemon=True).start()
+    if shipped is not None:
+        key, payload = shipped
+        _SHIPPED_EVALUATORS[key] = pickle.loads(payload)
+
+
+def _process_pool(
+    n_jobs: int, shipped: Optional[Tuple[str, bytes]] = None
+) -> concurrent.futures.ProcessPoolExecutor:
+    """The one constructor of process pools in the library."""
+    return concurrent.futures.ProcessPoolExecutor(
+        max_workers=n_jobs, initializer=_init_worker, initargs=(shipped,)
+    )
 
 
 class _ShippedEvaluator:
@@ -260,13 +298,23 @@ def _run_chunk_traced(
 class Executor:
     """Runs a batch of independent evaluations; results in input order.
 
-    Subclasses implement :meth:`run`; construction is cheap and the
-    underlying pool (if any) lives only for the duration of one batch,
-    so an executor instance can be reused across batches safely.
+    Subclasses implement :meth:`run`; construction is cheap.  The
+    underlying pool (if any) lives for one batch, or, inside ``with
+    executor:``, until the outermost ``with`` exits, so a campaign that
+    calls :meth:`run` once per chunk forks its workers once.  Holding
+    is reference-counted (nested ``with`` blocks and concurrent runs
+    share the pool), and an instance can be reused across batches
+    safely either way.
     """
 
     name = "abstract"
     n_jobs = 1
+
+    def __enter__(self) -> "Executor":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        return None
 
     def run(
         self,
@@ -382,27 +430,76 @@ class _PoolExecutor(Executor):
         if n_jobs < 1:
             raise ModelDefinitionError(f"n_jobs must be >= 1, got {n_jobs}")
         self.n_jobs = int(n_jobs)
+        self._lock = threading.Lock()
+        self._holds = 0
+        self._pool: Optional[concurrent.futures.Executor] = None
+        #: the ship-once evaluator the held pool's workers hold, and its stand-in
+        self._shipped: Optional[Evaluator] = None
+        self._stand_in: Optional[Evaluator] = None
 
-    def _make_pool(self, **pool_kwargs: Any) -> concurrent.futures.Executor:
+    def __enter__(self) -> "_PoolExecutor":
+        with self._lock:
+            self._holds += 1
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        with self._lock:
+            self._holds -= 1
+            pool = self._pool if self._holds == 0 else None
+            if pool is not None:
+                self._pool = self._shipped = self._stand_in = None
+        if pool is not None:
+            pool.shutdown(wait=True)
+
+    def _make_pool(self, shipped: Optional[Tuple[str, bytes]]) -> concurrent.futures.Executor:
         raise NotImplementedError
 
     def _check_batch(self, evaluate, assignments, rngs) -> None:
         """Backend-specific pre-dispatch validation (pickling guard)."""
 
-    def _prepare(self, evaluate: Evaluator) -> Tuple[Dict[str, Any], Evaluator]:
-        """Backend hook: ``(pool kwargs, evaluator to submit)``.
+    def _ships(self, evaluate: Evaluator) -> bool:
+        """Whether ``evaluate`` is installed in the workers by the pool
+        initializer, which ties the pool to that evaluator."""
+        return False
+
+    def _prepare(self, evaluate: Evaluator) -> Tuple[Optional[Tuple[str, bytes]], Evaluator]:
+        """Backend hook: ``(initializer payload, evaluator to submit)``.
 
         The process backend overrides this to ship ``__ship_once__``
-        evaluators through a pool initializer instead of per chunk.
+        evaluators through the pool initializer instead of per chunk.
         """
-        return {}, evaluate
+        return None, evaluate
+
+    def _pool_for(self, evaluate: Evaluator) -> Tuple[concurrent.futures.Executor, Evaluator]:
+        """The pool to submit to and the evaluator to submit.
+
+        Reuses the held pool unless it shipped a different evaluator
+        than the one ``evaluate`` needs; a replaced pool finishes the
+        work already queued on it and then exits.  Call with
+        ``self._lock`` held.
+        """
+        ships = self._ships(evaluate)
+        if self._pool is None or (ships and evaluate is not self._shipped):
+            stale = self._pool
+            shipped, self._stand_in = self._prepare(evaluate)
+            self._pool = self._make_pool(shipped)
+            self._shipped = evaluate if ships else None
+            if stale is not None:
+                stale.shutdown(wait=False)
+        return self._pool, self._stand_in if ships else evaluate
+
+    def _discard(self, pool: concurrent.futures.Executor) -> None:
+        """Drop a broken pool so the next run forks fresh workers."""
+        with self._lock:
+            if self._pool is pool:
+                self._pool = self._shipped = self._stand_in = None
+        pool.shutdown(wait=True)
 
     def run(self, evaluate, assignments, rngs=None, chunk_size=None, progress=None, policy=None):
         n = self._validate(assignments, rngs)
         if n == 0:
             return [], np.empty(0), FaultReport()
         self._check_batch(evaluate, assignments, rngs)
-        pool_kwargs, evaluate = self._prepare(evaluate)
         size = chunk_size if chunk_size is not None else default_chunk_size(n, self.n_jobs)
         if size < 1:
             raise ModelDefinitionError(f"chunk_size must be >= 1, got {size}")
@@ -452,21 +549,26 @@ class _PoolExecutor(Executor):
                 progress(done, n)
 
         broken: Optional[BaseException] = None
-        with self._make_pool(**pool_kwargs) as pool:
+        with self:
             futures = {}
-            for chunk in chunks:
-                fn, args = submit_args(chunk)
-                futures[pool.submit(fn, *args)] = chunk
+            with self._lock:
+                # `submit_args` sees the rebound evaluator (the stand-in
+                # of a shipped one)
+                pool, evaluate = self._pool_for(evaluate)
+                for chunk in chunks:
+                    fn, args = submit_args(chunk)
+                    futures[pool.submit(fn, *args)] = chunk
             for future in concurrent.futures.as_completed(futures):
                 chunk = futures[future]
                 try:
                     outcome = future.result()
                 except concurrent.futures.BrokenExecutor as exc:
                     # A worker died (segfault, os._exit, OOM kill): every
-                    # outstanding future is lost.  Leave the pool; the
+                    # outstanding future is lost.  Drop the pool; the
                     # unfinished chunks are re-dispatched serially below
                     # when the policy allows it.
                     broken = exc
+                    self._discard(pool)
                     break
                 except Exception:
                     # Fail-fast path (policy None / on_error="raise"):
@@ -474,6 +576,7 @@ class _PoolExecutor(Executor):
                     # ones finish, re-raise the evaluator's exception.
                     for pending_future in futures:
                         pending_future.cancel()
+                    concurrent.futures.wait(futures)
                     raise
                 consume(chunk, outcome)
 
@@ -509,8 +612,8 @@ class ThreadExecutor(_PoolExecutor):
 
     name = "thread"
 
-    def _make_pool(self, **pool_kwargs):
-        return concurrent.futures.ThreadPoolExecutor(max_workers=self.n_jobs, **pool_kwargs)
+    def _make_pool(self, shipped):
+        return concurrent.futures.ThreadPoolExecutor(max_workers=self.n_jobs)
 
 
 class ProcessExecutor(_PoolExecutor):
@@ -523,37 +626,36 @@ class ProcessExecutor(_PoolExecutor):
 
     name = "process"
 
-    def _make_pool(self, **pool_kwargs):
-        return concurrent.futures.ProcessPoolExecutor(max_workers=self.n_jobs, **pool_kwargs)
+    def _make_pool(self, shipped):
+        return _process_pool(self.n_jobs, shipped)
 
     def _check_batch(self, evaluate, assignments, rngs) -> None:
         ensure_picklable(evaluate, "the evaluator")
         if len(assignments):
             ensure_picklable(assignments[0], "the parameter assignment")
 
-    def _prepare(self, evaluate: Evaluator) -> Tuple[Dict[str, Any], Evaluator]:
+    def _ships(self, evaluate: Evaluator) -> bool:
+        return bool(getattr(evaluate, "__ship_once__", False))
+
+    def _prepare(self, evaluate: Evaluator) -> Tuple[Optional[Tuple[str, bytes]], Evaluator]:
         """Ship ``__ship_once__`` evaluators once per worker.
 
         The evaluator is pickled a single time into the pool
         initializer's arguments; submitted chunks carry only a
         :class:`_ShippedEvaluator` key.  Values are unchanged — the
         worker calls the identical unpickled instance it would otherwise
-        receive per chunk.
+        receive per chunk.  Runs once per pool, so once per campaign
+        when the executor is held across its chunks.
         """
-        if not getattr(evaluate, "__ship_once__", False):
-            return {}, evaluate
+        if not self._ships(evaluate):
+            return None, evaluate
         key = f"ship-{next(_ship_counter)}"
-        payload = pickle.dumps(evaluate)
         tracer = get_tracer()
         if tracer.enabled:
             tracer.metrics.counter(
                 "engine.shipped_evaluators", evaluator=type(evaluate).__name__
             ).inc()
-        pool_kwargs = {
-            "initializer": _install_shipped_evaluator,
-            "initargs": (key, payload),
-        }
-        return pool_kwargs, _ShippedEvaluator(key, evaluate)
+        return (key, pickle.dumps(evaluate)), _ShippedEvaluator(key, evaluate)
 
 
 def resolve_executor(n_jobs: int = 1, executor=None) -> Executor:
@@ -606,5 +708,5 @@ def parallel_starmap(
     ensure_picklable(fn, "the worker function")
     for args in tasks[:1]:
         ensure_picklable(args, "the worker arguments")
-    with concurrent.futures.ProcessPoolExecutor(max_workers=n_jobs) as pool:
+    with _process_pool(n_jobs) as pool:
         return list(pool.map(fn, *zip(*tasks)))

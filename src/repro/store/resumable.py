@@ -36,6 +36,7 @@ import numpy as np
 
 from ..engine.batch import evaluate_batch
 from ..engine.campaign import CampaignResult, CampaignSpec, PointsCampaign
+from ..engine.executors import resolve_executor
 from ..engine.options import EngineOptions
 from ..engine.stats import EngineStats
 from ..exceptions import ModelDefinitionError
@@ -98,6 +99,9 @@ class ResumableCampaign:
         :class:`~repro.engine.EngineOptions` for the per-chunk
         evaluation (policy, compile, inner ``n_jobs``...).  The
         campaign's own checkpointing replaces ``cache``/``progress``.
+        The executor is resolved once per :meth:`run` and held open
+        across its chunks, so a process pool forks its workers once per
+        campaign, not once per chunk.
     retry_failures:
         Reopen chunks containing stored failures on start (default).
 
@@ -204,7 +208,7 @@ class ResumableCampaign:
                 self.model, encoded, seed=self.seed, chunk_size=self.chunk_size
             )
         self.store.create_campaign(
-            self.campaign_id, self.model, assignments,
+            self.campaign_id, self.model, encoded,
             chunk_size=self.chunk_size, seed=self.seed,
         )
         if self.retry_failures:
@@ -221,9 +225,16 @@ class ResumableCampaign:
             if tracer.enabled
             else nullcontext()
         )
+        # One executor for the whole drain loop: held open, a pool
+        # backend forks its workers once per campaign, not per chunk.
+        executor = resolve_executor(self.options.n_jobs, self.options.executor)
+        options = self.options.replace(
+            executor=executor, cache=None, progress=None, tracer=None
+        )
         durations: List[float] = []
+        n_retries = pool_recoveries = 0
         stopped = False
-        with span:
+        with span, executor:
             chunks_done = 0
             while True:
                 if should_stop is not None and should_stop():
@@ -242,9 +253,13 @@ class ResumableCampaign:
                     # live leases elsewhere: wait for them to finish or expire
                     time.sleep(poll)
                     continue
-                durations.extend(
-                    self._run_chunk(chunk_id, assignments, throttle=throttle)
+                chunk_stats = self._run_chunk(
+                    chunk_id, assignments, encoded, options, throttle=throttle
                 )
+                if chunk_stats is not None:
+                    durations.extend(chunk_stats.durations.tolist())
+                    n_retries += chunk_stats.n_retries
+                    pool_recoveries += chunk_stats.pool_recoveries
                 chunks_done += 1
 
         self.complete = self._campaign_complete()
@@ -264,6 +279,8 @@ class ResumableCampaign:
             cache_hits=self.skipped_points,
             cache_misses=self.evaluated_points,
             n_failed=len(errors),
+            n_retries=n_retries,
+            pool_recoveries=pool_recoveries,
         )
         if tracer.enabled:
             tracer.metrics.counter(
@@ -283,23 +300,29 @@ class ResumableCampaign:
         self,
         chunk_id: int,
         assignments: List[Dict[str, float]],
+        encoded: Sequence[str],
+        options: EngineOptions,
         throttle: float = 0.0,
-    ) -> List[float]:
-        """Evaluate one claimed chunk and checkpoint it atomically."""
-        indices = list(self._chunk_indices(chunk_id, len(assignments)))
-        chunk_points = [assignments[i] for i in indices]
-        stored = self.store.lookup_many(self.model, chunk_points, seed=self.seed)
+    ) -> Optional[EngineStats]:
+        """Evaluate one claimed chunk and checkpoint it atomically.
+
+        Returns the stats of the chunk's batch, or ``None`` when every
+        point was already stored ok.
+        """
+        indices = self._chunk_indices(chunk_id, len(assignments))
+        keys = [encoded[i] for i in indices]
+        stored = self.store.lookup_many(self.model, keys, seed=self.seed)
         todo: List[int] = []  # positions within the chunk
-        for pos, point in enumerate(chunk_points):
-            prior = stored.get(encode_point_key(point))
+        for pos, key in enumerate(keys):
+            prior = stored.get(key)
             if prior is None or not prior.ok:
                 todo.append(pos)
         tracer = get_tracer()
-        if tracer.enabled and len(todo) < len(chunk_points):
+        if tracer.enabled and len(todo) < len(keys):
             tracer.metrics.counter("store.points.skipped", model=self.model).inc(
-                len(chunk_points) - len(todo)
+                len(keys) - len(todo)
             )
-        durations: List[float] = []
+        stats = None
         rows = []
         if todo:
             evaluate = self.evaluate
@@ -312,24 +335,23 @@ class ResumableCampaign:
 
             batch = evaluate_batch(
                 evaluate,
-                [chunk_points[pos] for pos in todo],
-                options=self.options.replace(
-                    cache=None, progress=None, tracer=None
-                ),
+                [assignments[indices[pos]] for pos in todo],
+                options=options,
             )
+            stats = batch.stats
             self.evaluated_points += len(todo)
             if tracer.enabled:
                 tracer.metrics.counter(
                     "store.points.evaluated", model=self.model
                 ).inc(len(todo))
             errors_by_pos = {err.index: err for err in batch.errors}
-            durations = [float(d) for d in batch.stats.durations]
+            durations = stats.durations
             for k, pos in enumerate(todo):
                 error = errors_by_pos.get(k)
                 value = float(batch.outputs[k])
-                duration = durations[k] if k < len(durations) else 0.0
+                duration = float(durations[k]) if k < len(durations) else 0.0
                 attempts = error.attempts if error is not None else 1
-                rows.append((chunk_points[pos], value, error, duration, attempts))
+                rows.append((keys[pos], value, error, duration, attempts))
         written, duplicates = self.store.record_chunk(
             self.campaign_id,
             chunk_id,
@@ -346,7 +368,7 @@ class ResumableCampaign:
                 tracer.metrics.counter(
                     "store.commit.duplicates", model=self.model
                 ).inc(duplicates)
-        return durations
+        return stats
 
     def _reopen_failed_chunks(self, encoded: Sequence[str]) -> int:
         """Re-dispatch stored failures: reopen their completed chunks."""
@@ -385,9 +407,7 @@ class ResumableCampaign:
 
     def _collect(self, encoded: Sequence[str]):
         """Assemble outputs/errors for the design from the stored rows."""
-        stored = self.store.lookup_many(
-            self.model, [decode_point_key(key) for key in encoded], seed=self.seed
-        )
+        stored = self.store.lookup_many(self.model, encoded, seed=self.seed)
         outputs = np.full(len(encoded), np.nan)
         errors = []
         missing = 0

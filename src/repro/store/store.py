@@ -51,7 +51,8 @@ __all__ = [
     "decode_point_key",
 ]
 
-PointKey = Union[Key, Mapping[str, float]]
+#: a point as a mapping, a canonical key tuple, or its encoded key text
+PointKey = Union[Key, Mapping[str, float], str]
 
 
 def encode_point_key(point: PointKey) -> str:
@@ -72,6 +73,11 @@ def encode_point_key(point: PointKey) -> str:
     else:
         key = canonical_point_key(dict(point))
     return json.dumps([[name, value] for name, value in key])
+
+
+def _key_text(point: PointKey) -> str:
+    """The encoded key of ``point``; key text passes through as is."""
+    return point if isinstance(point, str) else encode_point_key(point)
 
 
 def decode_point_key(text: str) -> Key:
@@ -138,6 +144,48 @@ _RESULT_COLUMNS = (
     "model, point_key, seed, status, value, error_type, message, "
     "attempts, duration, worker_id, created_at"
 )
+
+
+Row = Tuple[PointKey, float, Optional[ErrorRecord], float, int]
+
+
+def _write_rows(
+    conn, model: str, rows: Sequence[Row], seed: str, worker_id: Optional[str], stamp: float
+) -> Tuple[int, int]:
+    """Upsert outcome rows inside the caller's transaction.
+
+    A success replaces only a stored failure (first ok writer wins).
+    Returns ``(written, duplicates)``.
+    """
+    written = duplicates = 0
+    for point, value, error, duration, attempts in rows:
+        if error is None:
+            outcome = ("ok", float(value), None, None)
+        else:
+            outcome = ("error", None, error.error_type, error.message)
+        conn.execute(
+            f"INSERT INTO results ({_RESULT_COLUMNS}) "
+            "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?) "
+            "ON CONFLICT (model, point_key, seed) DO UPDATE SET "
+            "status = excluded.status, value = excluded.value, "
+            "error_type = excluded.error_type, message = excluded.message, "
+            "attempts = excluded.attempts, duration = excluded.duration, "
+            "worker_id = excluded.worker_id, created_at = excluded.created_at "
+            "WHERE results.status = 'error'",
+            (model, point, seed, *outcome, attempts, duration, worker_id, stamp),
+        )
+        if conn.execute("SELECT changes()").fetchone()[0]:
+            written += 1
+        else:
+            duplicates += 1
+    return written, duplicates
+
+
+def _encode_rows(rows: Sequence[Row]) -> List[Row]:
+    return [
+        (_key_text(point), value, error, float(duration), int(attempts))
+        for point, value, error, duration, attempts in rows
+    ]
 
 
 def _result_from_row(row: Tuple) -> StoredResult:
@@ -212,7 +260,7 @@ class CampaignStore:
     def record_many(
         self,
         model: str,
-        rows: Sequence[Tuple[PointKey, float, Optional[ErrorRecord], float, int]],
+        rows: Sequence[Row],
         seed: str = "",
         worker_id: Optional[str] = None,
     ) -> Tuple[int, int]:
@@ -222,64 +270,16 @@ class CampaignStore:
         Returns ``(written, duplicates)`` where *duplicates* counts rows
         that already had an ``ok`` entry and were left untouched.
         """
-        encoded = [
-            (
-                encode_point_key(point),
-                value,
-                error,
-                float(duration),
-                int(attempts),
-            )
-            for point, value, error, duration, attempts in rows
-        ]
+        encoded = _encode_rows(rows)
         stamp = float(self.now())
-
-        def _write(conn):
-            written = duplicates = 0
-            for key_text, value, error, duration, attempts in encoded:
-                if error is None:
-                    cur_params = (
-                        model, key_text, seed, "ok", float(value),
-                        None, None, attempts, duration, worker_id, stamp,
-                    )
-                else:
-                    cur_params = (
-                        model, key_text, seed, "error", None,
-                        error.error_type, error.message,
-                        attempts, duration, worker_id, stamp,
-                    )
-                conn.execute(
-                    f"INSERT INTO results ({_RESULT_COLUMNS}) "
-                    "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?) "
-                    "ON CONFLICT (model, point_key, seed) DO UPDATE SET "
-                    "status = excluded.status, value = excluded.value, "
-                    "error_type = excluded.error_type, message = excluded.message, "
-                    "attempts = excluded.attempts, duration = excluded.duration, "
-                    "worker_id = excluded.worker_id, created_at = excluded.created_at "
-                    "WHERE results.status = 'error'",
-                    cur_params,
-                )
-                if conn.execute("SELECT changes()").fetchone()[0]:
-                    written += 1
-                else:
-                    duplicates += 1
-            return written, duplicates
-
-        return self.db.run(_write)
+        return self.db.run(
+            lambda conn: _write_rows(conn, model, encoded, seed, worker_id, stamp)
+        )
 
     def lookup(self, model: str, point: PointKey, seed: str = "") -> Optional[StoredResult]:
         """The stored outcome for one point, or ``None``."""
-        key_text = encode_point_key(point)
-
-        def _read(conn):
-            row = conn.execute(
-                f"SELECT {_RESULT_COLUMNS} FROM results "
-                "WHERE model = ? AND point_key = ? AND seed = ?",
-                (model, key_text, seed),
-            ).fetchone()
-            return None if row is None else _result_from_row(row)
-
-        return self.db.run(_read)
+        key_text = _key_text(point)
+        return self._lookup_texts(model, [key_text], seed).get(key_text)
 
     def lookup_many(
         self, model: str, points: Iterable[PointKey], seed: str = ""
@@ -289,7 +289,12 @@ class CampaignStore:
         One serializer round-trip regardless of batch size — the chunk
         runner's resume check is a single query, not N.
         """
-        key_texts = [encode_point_key(point) for point in points]
+        return self._lookup_texts(model, [_key_text(point) for point in points], seed)
+
+    def _lookup_texts(
+        self, model: str, key_texts: Sequence[str], seed: str
+    ) -> Dict[str, StoredResult]:
+        """The one results query: stored outcomes by encoded key text."""
 
         def _read(conn):
             found: Dict[str, StoredResult] = {}
@@ -364,7 +369,7 @@ class CampaignStore:
             raise ModelDefinitionError(f"chunk_size must be >= 1, got {chunk_size}")
         if not points:
             raise ModelDefinitionError("a campaign needs at least one point")
-        encoded = [encode_point_key(point) for point in points]
+        encoded = [_key_text(point) for point in points]
         n = len(encoded)
         n_chunks = (n + chunk_size - 1) // chunk_size
         stamp = float(self.now())
@@ -533,7 +538,7 @@ class CampaignStore:
         campaign_id: str,
         chunk_id: int,
         model: str,
-        rows: Sequence[Tuple[PointKey, float, Optional[ErrorRecord], float, int]],
+        rows: Sequence[Row],
         seed: str = "",
         worker_id: Optional[str] = None,
     ) -> Tuple[int, int]:
@@ -545,42 +550,12 @@ class CampaignStore:
         expiry); after the commit the chunk is durably done.  Returns
         ``(written, duplicates)`` as :meth:`record_many`.
         """
-        encoded = [
-            (encode_point_key(point), value, error, float(duration), int(attempts))
-            for point, value, error, duration, attempts in rows
-        ]
+        encoded = _encode_rows(rows)
         stamp = float(self.now())
 
         def _commit(conn):
             conn.execute("BEGIN IMMEDIATE")
-            written = duplicates = 0
-            for key_text, value, error, duration, attempts in encoded:
-                if error is None:
-                    params = (
-                        model, key_text, seed, "ok", float(value),
-                        None, None, attempts, duration, worker_id, stamp,
-                    )
-                else:
-                    params = (
-                        model, key_text, seed, "error", None,
-                        error.error_type, error.message,
-                        attempts, duration, worker_id, stamp,
-                    )
-                conn.execute(
-                    f"INSERT INTO results ({_RESULT_COLUMNS}) "
-                    "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?) "
-                    "ON CONFLICT (model, point_key, seed) DO UPDATE SET "
-                    "status = excluded.status, value = excluded.value, "
-                    "error_type = excluded.error_type, message = excluded.message, "
-                    "attempts = excluded.attempts, duration = excluded.duration, "
-                    "worker_id = excluded.worker_id, created_at = excluded.created_at "
-                    "WHERE results.status = 'error'",
-                    params,
-                )
-                if conn.execute("SELECT changes()").fetchone()[0]:
-                    written += 1
-                else:
-                    duplicates += 1
+            written, duplicates = _write_rows(conn, model, encoded, seed, worker_id, stamp)
             conn.execute(
                 "UPDATE leases SET completed = 1, worker_id = ?, "
                 "lease_expiry = NULL WHERE campaign_id = ? AND chunk_id = ?",

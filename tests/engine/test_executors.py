@@ -1,10 +1,19 @@
 """Unit tests for the engine's executor backends."""
 
+import contextlib
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import textwrap
+import threading
 import time
 
 import numpy as np
 import pytest
 
+import repro
 from repro.engine import (
     ProcessExecutor,
     SerialExecutor,
@@ -31,6 +40,23 @@ def stochastic(assignment, rng):
 def chunk_worker(n, rng):
     """Module-level starmap worker."""
     return float(rng.uniform(size=n).sum())
+
+
+def worker_pid(assignment):
+    """Module-level evaluator answering with the pid that evaluated it."""
+    return float(os.getpid())
+
+
+class ShipOnceOffset:
+    """A ``__ship_once__`` evaluator: installed by the pool initializer."""
+
+    __ship_once__ = True
+
+    def __init__(self, offset):
+        self.offset = offset
+
+    def __call__(self, assignment):
+        return assignment["x"] + self.offset
 
 
 ASSIGNMENTS = [{"x": float(k % 5), "y": float(k // 5)} for k in range(23)]
@@ -255,3 +281,152 @@ def test_default_chunk_size_heuristic():
     assert default_chunk_size(1, 4) == 1
     assert default_chunk_size(1000, 4) == 63  # ~4 chunks per worker
     assert default_chunk_size(3, 8) == 1
+
+
+def _alive(pid):
+    """Whether ``pid`` is a live (not zombie) process."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+class TestPoolLifetime:
+    """One pool per ``with`` block; one pool per batch outside it."""
+
+    PIDS = [{"x": float(k)} for k in range(16)]
+
+    @pytest.mark.parametrize("executor", [ThreadExecutor(2), ProcessExecutor(2)], ids=["thread", "process"])
+    def test_unheld_run_leaves_no_pool(self, executor):
+        values, _, _ = executor.run(quadratic, ASSIGNMENTS)
+        assert list(values) == EXPECTED
+        assert executor._pool is None
+        assert multiprocessing.active_children() == []
+
+    def test_held_pool_is_reused_across_runs(self):
+        executor = ProcessExecutor(2)
+        with executor:
+            first, _, _ = executor.run(worker_pid, self.PIDS, chunk_size=1)
+            second, _, _ = executor.run(worker_pid, self.PIDS, chunk_size=1)
+            # the same two workers answered both batches
+            assert len(set(first) | set(second)) <= 2
+            assert float(os.getpid()) not in first
+        assert executor._pool is None
+        assert multiprocessing.active_children() == []
+
+    def test_nested_with_keeps_the_outer_pool(self):
+        executor = ProcessExecutor(2)
+        with executor:
+            with executor:
+                inner, _, _ = executor.run(worker_pid, self.PIDS, chunk_size=1)
+            # the inner exit must not shut down the pool the outer holds
+            outer, _, _ = executor.run(worker_pid, self.PIDS, chunk_size=1)
+            assert len(set(inner) | set(outer)) <= 2
+        assert multiprocessing.active_children() == []
+
+    def test_other_ship_once_evaluator_gets_its_own_pool(self):
+        executor = ProcessExecutor(2)
+        points = [{"x": float(k)} for k in range(6)]
+        with executor:
+            for offset in (1.0, 2.0, 1.0):
+                values, _, _ = executor.run(ShipOnceOffset(offset), points)
+                assert values == [p["x"] + offset for p in points]
+            # a plain evaluator runs on whatever pool is held
+            values, _, _ = executor.run(quadratic, ASSIGNMENTS)
+            assert list(values) == EXPECTED
+
+    def test_broken_held_pool_is_replaced(self):
+        from repro.robust import FaultInjector
+
+        crashing = FaultInjector(quadratic, mode="crash", rate=1.0, fail_attempts=1)
+        executor = ProcessExecutor(2)
+        with executor:
+            before, _, _ = executor.run(worker_pid, self.PIDS, chunk_size=1)
+            values, _, report = executor.run(
+                crashing, ASSIGNMENTS, policy=FaultPolicy(on_error="retry", max_retries=1)
+            )
+            assert list(values) == EXPECTED
+            assert report.pool_recoveries == 1
+            after, _, _ = executor.run(worker_pid, self.PIDS, chunk_size=1)
+        assert not set(before) & set(after)
+        assert float(os.getpid()) not in after
+        assert multiprocessing.active_children() == []
+
+    def test_fail_fast_leaves_held_pool_usable(self):
+        executor = ProcessExecutor(2)
+        with executor:
+            with pytest.raises(ValueError, match="boom at 7"):
+                executor.run(failing_at_seven, TestFaultSemantics.ASSIGN, chunk_size=2)
+            values, _, _ = executor.run(quadratic, ASSIGNMENTS)
+            assert list(values) == EXPECTED
+
+    @pytest.mark.parametrize("held", [False, True], ids=["unheld", "held"])
+    def test_concurrent_runs_share_and_release_the_pool(self, held):
+        """More threads than cores race runs that swap the shipped
+        evaluator; a lost update to the hold count would leak the pool."""
+        executor = ProcessExecutor(2)
+        points = [{"x": float(k)} for k in range(8)]
+        errors = []
+
+        def worker(offset):
+            try:
+                for _ in range(4):
+                    values, _, _ = executor.run(ShipOnceOffset(offset), points, chunk_size=2)
+                    assert values == [p["x"] + offset for p in points]
+            except BaseException as exc:  # surfaced by the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with executor if held else contextlib.nullcontext():
+                threads = [threading.Thread(target=worker, args=(k % 2 + 1.0,)) for k in range(6)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
+                assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        assert executor._holds == 0 and executor._pool is None
+        deadline = time.monotonic() + 10.0
+        while multiprocessing.active_children() and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert multiprocessing.active_children() == []
+
+    def test_workers_exit_when_their_parent_is_killed(self, tmp_path):
+        script = tmp_path / "holder.py"
+        script.write_text(
+            textwrap.dedent(
+                """
+                import os, sys, time
+                from repro.engine import ProcessExecutor
+
+                def worker_pid(assignment):
+                    return float(os.getpid())
+
+                with ProcessExecutor(2) as executor:
+                    pids, _, _ = executor.run(worker_pid, [{"x": 0.0}] * 8, chunk_size=1)
+                    print(" ".join(str(int(p)) for p in set(pids)), flush=True)
+                    time.sleep(60)
+                """
+            )
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(repro.__file__))
+        holder = subprocess.Popen(
+            [sys.executable, str(script)], stdout=subprocess.PIPE, text=True, env=env
+        )
+        try:
+            pids = [int(pid) for pid in holder.stdout.readline().split()]
+            assert pids and all(_alive(pid) for pid in pids)
+        finally:
+            holder.send_signal(signal.SIGKILL)
+            holder.wait()
+            holder.stdout.close()
+        deadline = time.monotonic() + 5.0
+        while any(_alive(pid) for pid in pids) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(_alive(pid) for pid in pids)

@@ -1,11 +1,20 @@
 """ResumableCampaign, resume_campaign, run_campaign(store=...), StoreBackedCache."""
 
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 
-from repro.engine import EngineOptions, GridCampaign, PointsCampaign, run_campaign
+from repro.engine import (
+    EngineOptions,
+    GridCampaign,
+    PointsCampaign,
+    ProcessExecutor,
+    run_campaign,
+)
 from repro.exceptions import ModelDefinitionError
-from repro.robust import FaultPolicy
+from repro.robust import FaultInjector, FaultPolicy
 from repro.store import (
     CampaignStore,
     ResumableCampaign,
@@ -17,6 +26,23 @@ from repro.store import (
 
 def square(p):
     return p["x"] ** 2
+
+
+def worker_pid(p):
+    """Module-level evaluator answering with the pid that evaluated it."""
+    return float(os.getpid())
+
+
+class PidLog:
+    """Picklable ``square`` that appends ``x pid`` lines to a file."""
+
+    def __init__(self, path):
+        self.path = path
+
+    def __call__(self, p):
+        with open(self.path, "a") as handle:
+            handle.write(f"{p['x']!r} {os.getpid()}\n")
+        return square(p)
 
 
 POINTS = [{"x": float(x)} for x in range(10)]
@@ -209,6 +235,80 @@ class TestRunCampaignRouting:
         spec = PointsCampaign(POINTS[:2])
         result = run_campaign(square, spec, store=tmp_path / "p.sqlite")
         assert result.outputs.tolist() == [square(p) for p in POINTS[:2]]
+
+
+class TestCampaignPool:
+    """A stored campaign forks its workers once, not once per chunk."""
+
+    def test_one_pool_per_campaign(self, store):
+        points = [{"x": float(x)} for x in range(150)]  # 6 chunks of 25
+        result = run_campaign(
+            worker_pid, PointsCampaign(points), store=store, executor="process", n_jobs=2
+        )
+        (campaign_id,) = store.campaign_ids()
+        assert len(store.chunk_states(campaign_id)) == 6
+        pids = set(result.outputs.tolist())
+        assert len(pids) <= 2 and float(os.getpid()) not in pids
+        assert multiprocessing.active_children() == []
+
+    def test_resume_leg_never_forks(self, store, monkeypatch):
+        spec = PointsCampaign(POINTS)
+        run_campaign(square, spec, store=store, executor="process", n_jobs=2, chunk_size=3)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("the resume leg forked a pool")
+
+        monkeypatch.setattr(ProcessExecutor, "_make_pool", no_pool)
+        warm = run_campaign(square, spec, store=store, executor="process", n_jobs=2, chunk_size=3)
+        assert warm.outputs.tolist() == [square(p) for p in POINTS]
+        assert warm.stats.cache_misses == 0
+
+    def test_worker_crash_mid_campaign_recovers(self, store, tmp_path):
+        log = str(tmp_path / "pids.log")
+        injector = FaultInjector(PidLog(log), mode="crash", rate=0.15, seed=2, fail_attempts=1)
+        candidates = [{"x": float(x)} for x in range(200)]
+        crashing = [p for p in candidates if injector.selects(p)]
+        clean = [p for p in candidates if not injector.selects(p)]
+        # 6 chunks of 4: only chunk 2 holds a point that kills its worker
+        points = clean[:8] + crashing[:1] + clean[8:23]
+        result = ResumableCampaign(
+            injector,
+            points,
+            store,
+            model="crashy",
+            chunk_size=4,
+            options=EngineOptions(
+                executor="process",
+                n_jobs=2,
+                policy=FaultPolicy(on_error="retry", max_retries=1, recover_broken_pool=True),
+            ),
+        ).run()
+        serial = np.array([square(p) for p in points])
+        assert result.outputs.tobytes() == serial.tobytes()
+        assert result.stats.pool_recoveries >= 1
+        assert result.stats.n_retries >= 1
+        assert result.stats.executor == "store"
+        with open(log) as handle:
+            pid_of = {float(x): int(pid) for x, pid in (line.split() for line in handle)}
+        before = {pid_of[p["x"]] for p in points[:8]}
+        after = {pid_of[p["x"]] for p in points[12:]}
+        # the chunks after the crash ran in fresh workers, not in the parent
+        assert os.getpid() not in after
+        assert not before & after
+        assert len(after) <= 2
+
+    def test_caller_held_executor_spans_campaigns(self, tmp_path):
+        first = PointsCampaign([{"x": float(x)} for x in range(50)])
+        second = PointsCampaign([{"x": float(x)} for x in range(50, 100)])
+        with ProcessExecutor(2) as executor:
+            a = run_campaign(worker_pid, first, store=str(tmp_path / "a.sqlite"), executor=executor)
+            b = run_campaign(worker_pid, second, store=str(tmp_path / "b.sqlite"), executor=executor)
+            # both campaigns ran in the caller's two workers
+            assert len(set(a.outputs.tolist()) | set(b.outputs.tolist())) <= 2
+            values, _, _ = executor.run(square, POINTS)
+            assert values == [square(p) for p in POINTS]
+            assert multiprocessing.active_children()
+        assert multiprocessing.active_children() == []
 
 
 class TestStoreBackedCache:

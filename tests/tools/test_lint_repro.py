@@ -281,6 +281,68 @@ class TestR006StoreSqlite:
         assert findings == []
 
 
+class TestR009PoolHome:
+    """R009 confines concurrent.futures pools to ``engine/executors.py``."""
+
+    def lint_at(self, tmp_path, relpath, source):
+        path = tmp_path / relpath
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(textwrap.dedent(source))
+        return lint_repro.lint_file(path)
+
+    def test_flags_a_pool_built_elsewhere_in_the_package(self, tmp_path):
+        findings = self.lint_at(
+            tmp_path,
+            "src/repro/store/fanout.py",
+            """
+            import concurrent.futures
+            pool = concurrent.futures.ProcessPoolExecutor(max_workers=2)
+            """,
+        )
+        assert codes(findings) == ["R009"]
+        assert "engine/executors.py" in findings[0][3]
+
+    def test_flags_from_import_and_bare_call(self, tmp_path):
+        findings = self.lint_at(
+            tmp_path,
+            "src/repro/serve/workers.py",
+            """
+            from concurrent.futures import ThreadPoolExecutor
+            pool = ThreadPoolExecutor(4)
+            """,
+        )
+        assert codes(findings) == ["R009", "R009"]
+
+    def test_executors_module_is_the_permitted_home(self, tmp_path):
+        findings = self.lint_at(
+            tmp_path,
+            "src/repro/engine/executors.py",
+            """
+            import concurrent.futures
+            pool = concurrent.futures.ProcessPoolExecutor(max_workers=2)
+            """,
+        )
+        assert findings == []
+
+    def test_futures_without_a_pool_and_code_outside_the_package_pass(self, tmp_path):
+        assert self.lint_at(
+            tmp_path,
+            "src/repro/serve/batcher.py",
+            """
+            from concurrent.futures import Future
+            done = Future()
+            """,
+        ) == []
+        assert self.lint_at(
+            tmp_path,
+            "benchmarks/bench_pool.py",
+            """
+            import concurrent.futures
+            pool = concurrent.futures.ThreadPoolExecutor(2)
+            """,
+        ) == []
+
+
 class TestR007SparseDensification:
     """R007 is path-sensitive: it polices the sparse and compiled-CSR code only."""
 

@@ -60,6 +60,14 @@ absent).  Rules:
     completes).  Waivable with ``# noqa: R008`` for state that is
     genuinely single-threaded.
 
+``R009 pool-outside-executors``
+    Under ``src/repro`` a ``concurrent.futures`` worker pool
+    (``ProcessPoolExecutor`` / ``ThreadPoolExecutor``) may be built only
+    in ``engine/executors.py``.  Pool lifetime (one pool per campaign,
+    reference-counted holding, broken-pool replacement) and the worker
+    initializer (ship-once evaluators, the orphan watchdog) live there;
+    a pool built anywhere else silently skips both.
+
 Usage::
 
     python tools/lint_repro.py [paths...]
@@ -284,6 +292,38 @@ def check_store_sqlite(tree: ast.AST, path: str) -> List[Finding]:
                     "store database access goes through the StoreDB serializer",
                 )
             )
+    return findings
+
+
+#: the concurrent.futures pool classes R009 confines to engine/executors.py
+_POOL_CLASSES = {"ProcessPoolExecutor", "ThreadPoolExecutor"}
+
+
+def check_pool_home(tree: ast.AST, path: str) -> List[Finding]:
+    """R009: ``concurrent.futures`` pools only in ``engine/executors.py``.
+
+    Checks files under ``src/repro``; flags a ``ProcessPoolExecutor`` /
+    ``ThreadPoolExecutor`` call (``concurrent.futures.X(...)`` or a bare
+    ``X(...)``) and ``from concurrent.futures import X``.
+    """
+    normalized = path.replace("\\", "/")
+    if "src/repro/" not in normalized or normalized.endswith("repro/engine/executors.py"):
+        return []
+    message = (
+        "concurrent.futures pool built outside repro/engine/executors.py; "
+        "use an Executor (resolve_executor / parallel_starmap) so the pool "
+        "lifetime and worker initializer keep one home"
+    )
+    findings = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and _callee_name(node.func) in _POOL_CLASSES:
+            findings.append((path, node.lineno, "R009", message))
+        elif (
+            isinstance(node, ast.ImportFrom)
+            and node.module == "concurrent.futures"
+            and any(alias.name in _POOL_CLASSES for alias in node.names)
+        ):
+            findings.append((path, node.lineno, "R009", message))
     return findings
 
 
@@ -646,6 +686,7 @@ def lint_file(py_path: Path) -> List[Finding]:
     findings += check_all_names(tree, path)
     findings += check_serve_error_records(tree, path)
     findings += check_store_sqlite(tree, path)
+    findings += check_pool_home(tree, path)
     findings += check_sparse_densification(tree, path)
     findings += check_lock_discipline(tree, path)
     lines = source.splitlines()
