@@ -60,7 +60,10 @@ def _bladecenter() -> List[ModelSpec]:
 def _boeing() -> List[ModelSpec]:
     from ..casestudies import boeing
 
-    return [("fault tree", boeing.generate_boeing_style_tree(), None, None)]
+    return [
+        ("fault tree", boeing.generate_boeing_style_tree(), None, None),
+        ("compiled evaluator", boeing.evaluate_availability, {}, None),
+    ]
 
 
 @_register("cisco")

@@ -116,14 +116,31 @@ PARAMETER_DEFAULTS = {
 #: integer-valued generator knobs (counts / seed, not probabilities)
 _INT_FIELDS = ("n_sections", "events_per_section", "shared_events", "seed")
 
+#: smallest admissible value of each count knob: every section picks two
+#: distinct local events and one shared event per path
+_COUNT_MINIMUMS = {"n_sections": 1, "events_per_section": 2, "shared_events": 1}
+
+#: Cap on the generator's basic events
+#: (``n_sections * events_per_section + shared_events``).  It bounds the
+#: tree one sweep point may ask for, and with it each entry of the
+#: compiled evaluator's structure memo: the E05 scale study stops at
+#: 64 sections (388 events), while ``n_sections=1e9`` would otherwise
+#: allocate events until the host runs out of memory.  BDD size also
+#: grows with how densely the shared events interleave the sections, so
+#: sharing-heavy trees well inside the cap can still be slow to build.
+MAX_BASIC_EVENTS = 1024
+
 
 def resolve_parameters(assignment: Mapping[str, float]) -> dict:
     """Validate a (partial) assignment and merge it over the defaults.
 
     Values must be finite and non-negative; the count fields (and the
-    ``seed``) must additionally be whole numbers.  Unknown names raise a
-    :class:`~repro.exceptions.ModelDefinitionError` listing the valid
-    field names — the same contract as the BladeCenter evaluator.
+    ``seed``) must additionally be whole numbers, at least 1 (2 for
+    ``events_per_section``), and together describe at most
+    :data:`MAX_BASIC_EVENTS` basic events.  Violations and unknown names
+    raise a :class:`~repro.exceptions.ModelDefinitionError` — unknown
+    names list the valid field names, the same contract as the
+    BladeCenter evaluator.
 
     Returns the full keyword dict for :func:`generate_boeing_style_tree`.
     """
@@ -147,6 +164,19 @@ def resolve_parameters(assignment: Mapping[str, float]) -> dict:
             merged[name] = int(value)
         else:
             merged[name] = value
+    for name, minimum in _COUNT_MINIMUMS.items():
+        if merged[name] < minimum:
+            raise ModelDefinitionError(
+                f"Boeing parameter {name!r} must be at least {minimum}, got {merged[name]}"
+            )
+    n_events = (
+        merged["n_sections"] * merged["events_per_section"] + merged["shared_events"]
+    )
+    if n_events > MAX_BASIC_EVENTS:
+        raise ModelDefinitionError(
+            f"Boeing tree would have {n_events} basic events (n_sections * "
+            f"events_per_section + shared_events); the cap is {MAX_BASIC_EVENTS}"
+        )
     return merged
 
 
@@ -161,3 +191,10 @@ def evaluate_availability(assignment: Mapping[str, float]) -> float:
     """
     tree = generate_boeing_style_tree(**resolve_parameters(assignment))
     return float(1.0 - tree.top_event_probability())
+
+
+#: The engine's ``compile=True`` substitution and the serve registry
+#: resolve this to the compiled evaluator, which builds the BDD once
+#: per structure instead of once per point (lazy string spec —
+#: importing the case study must not pull in the compile machinery).
+evaluate_availability.__compiles_to__ = "repro.compile.model:CompiledBoeingTree"

@@ -60,6 +60,15 @@ __all__ = [
 #: integer-valued fields of :class:`NFVChainSpec` (counts, not rates)
 _INT_FIELDS = ("n_vnfs", "replicas", "min_replicas", "repair_crews")
 
+#: Caps on the size knobs a sweep point may ask for.  Above the solver
+#: limit the evaluator solves one ``(replicas + 1)``-state stage chain
+#: densely (~0.15 s at ``MAX_REPLICAS`` on a 2-vCPU host), and
+#: ``state_count`` is an integer power in ``n_vnfs``.  The E37/E38
+#: studies stop at 9 replicas and 8 VNFs.
+MAX_REPLICAS = 500
+MAX_VNFS = 64
+_MAXIMA = {"n_vnfs": MAX_VNFS, "replicas": MAX_REPLICAS}
+
 
 @dataclass(frozen=True)
 class NFVChainSpec:
@@ -310,7 +319,8 @@ def resolve_parameters(assignment: Mapping[str, float]) -> NFVChainSpec:
     """Validate a (partial) assignment and merge it over the defaults.
 
     Values must be finite and non-negative; count fields must be whole
-    numbers.  Unknown names raise a
+    numbers, with ``n_vnfs`` at most :data:`MAX_VNFS` and ``replicas``
+    at most :data:`MAX_REPLICAS`.  Unknown names raise a
     :class:`~repro.exceptions.ModelDefinitionError` listing the valid
     field names — the same contract as the WFS evaluator.
     """
@@ -325,6 +335,11 @@ def resolve_parameters(assignment: Mapping[str, float]) -> NFVChainSpec:
             if value != int(value):
                 raise ModelDefinitionError(
                     f"NFV parameter {name!r} must be a whole number, got {value}"
+                )
+            cap = _MAXIMA.get(name)
+            if cap is not None and value > cap:
+                raise ModelDefinitionError(
+                    f"NFV parameter {name!r} must be at most {cap}, got {int(value)}"
                 )
             merged[name] = int(value)
         else:

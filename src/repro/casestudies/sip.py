@@ -49,6 +49,11 @@ __all__ = [
 #: integer-valued fields of :class:`SIPParameters` (counts, not rates)
 _INT_FIELDS = ("n_nodes", "k_required")
 
+#: Largest ``n_nodes`` a sweep point may ask for: the service RBD holds
+#: one block per node, ~0.2 s to build and solve at the cap on a 2-vCPU
+#: host; the E21 study stops at 8.
+MAX_NODES = 10_000
+
 
 @dataclass
 class SIPParameters:
@@ -202,8 +207,8 @@ def resolve_parameters(assignment: Mapping[str, float]) -> SIPParameters:
     """Validate a (partial) assignment and merge it over the defaults.
 
     Values must be finite and non-negative; the count fields
-    (``n_nodes``, ``k_required``) must additionally be whole numbers.
-    Unknown names raise a
+    (``n_nodes``, ``k_required``) must additionally be whole numbers,
+    and ``n_nodes`` at most :data:`MAX_NODES`.  Unknown names raise a
     :class:`~repro.exceptions.ModelDefinitionError` listing the valid
     field names — the same contract as the BladeCenter evaluator.
     """
@@ -218,6 +223,10 @@ def resolve_parameters(assignment: Mapping[str, float]) -> SIPParameters:
             if value != int(value):
                 raise ModelDefinitionError(
                     f"SIP parameter {name!r} must be a whole number, got {value}"
+                )
+            if name == "n_nodes" and value > MAX_NODES:
+                raise ModelDefinitionError(
+                    f"SIP parameter 'n_nodes' must be at most {MAX_NODES}, got {int(value)}"
                 )
             merged[name] = int(value)
         else:

@@ -37,6 +37,11 @@ __all__ = [
 #: integer-valued fields of :class:`WFSParameters` (counts, not rates)
 _INT_FIELDS = ("n_workstations", "k_required")
 
+#: Largest ``n_workstations`` a sweep point may ask for.  The pool is an
+#: ``(n + 1)``-state birth–death chain solved densely, ~0.2 s at the
+#: cap on a 2-vCPU host; the E15 study stops at 32.
+MAX_WORKSTATIONS = 500
+
 
 @dataclass
 class WFSParameters:
@@ -117,7 +122,8 @@ def resolve_parameters(assignment: Mapping[str, float]) -> WFSParameters:
 
     Values must be finite and non-negative; the count fields
     (``n_workstations``, ``k_required``) must additionally be whole
-    numbers.  Unknown names raise a
+    numbers, and ``n_workstations`` at most :data:`MAX_WORKSTATIONS`.
+    Unknown names raise a
     :class:`~repro.exceptions.ModelDefinitionError` listing the valid
     field names — the same contract as the BladeCenter evaluator.
     """
@@ -132,6 +138,11 @@ def resolve_parameters(assignment: Mapping[str, float]) -> WFSParameters:
             if value != int(value):
                 raise ModelDefinitionError(
                     f"WFS parameter {name!r} must be a whole number, got {value}"
+                )
+            if name == "n_workstations" and value > MAX_WORKSTATIONS:
+                raise ModelDefinitionError(
+                    f"WFS parameter 'n_workstations' must be at most "
+                    f"{MAX_WORKSTATIONS}, got {int(value)}"
                 )
             merged[name] = int(value)
         else:

@@ -29,6 +29,7 @@ exception); see ``docs/PERFORMANCE.md`` for when compilation pays off.
 from .ctmc import CompiledCTMC, Complement, Const, Param, RateTerm, Scaled, Times
 from .model import (
     CompiledBladeCenter,
+    CompiledBoeingTree,
     CompiledCiscoRouter,
     CompiledEvaluator,
     CompiledSunPlatform,
@@ -50,6 +51,7 @@ __all__ = [
     "CompiledStructureFunction",
     "CompiledEvaluator",
     "CompiledBladeCenter",
+    "CompiledBoeingTree",
     "CompiledCiscoRouter",
     "CompiledSunPlatform",
     "CompiledNFVChain",

@@ -26,7 +26,9 @@ auto-compile hook and :func:`supports_compilation` key off it.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+import threading
+from collections import OrderedDict
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -38,6 +40,7 @@ from .structure import CompiledStructureFunction
 __all__ = [
     "CompiledEvaluator",
     "CompiledBladeCenter",
+    "CompiledBoeingTree",
     "CompiledCiscoRouter",
     "CompiledSunPlatform",
     "compile_model",
@@ -356,12 +359,105 @@ class CompiledSunPlatform(CompiledEvaluator):
         return out
 
 
+class CompiledBoeingTree(CompiledEvaluator):
+    """Compiled Boeing-style current-return fault tree (case study E05).
+
+    The uncompiled evaluator regenerates the tree and rebuilds its BDD
+    at every point.  Here the count knobs and the seed form a structure
+    key whose :class:`CompiledStructureFunction` is built once and
+    memoized; the two probabilities only fill the columns (shared events
+    take ``shared_probability``, section-local ones
+    ``event_probability``).  A batch is grouped by structure and each
+    group evaluated in one pass.
+    """
+
+    #: Structures kept: sweeps vary probabilities over a handful of
+    #: trees, and ``boeing.MAX_BASIC_EVENTS`` bounds each one.
+    STRUCTURE_LIMIT = 8
+
+    def __init__(self):
+        from ..casestudies.boeing import PARAMETER_DEFAULTS
+
+        self.parameters = tuple(PARAMETER_DEFAULTS)
+        #: structure key → (compiled top-event function, per-column
+        #: "is a shared event" mask), least recently used first
+        self._structures: OrderedDict = OrderedDict()
+        self._lock = threading.Lock()
+
+    def __reduce__(self):
+        # The memo and its lock belong to one process; a worker starts
+        # empty and builds the structures its points ask for.
+        return (type(self), ())
+
+    def _structure(
+        self, key: Tuple[int, int, int, int]
+    ) -> Tuple[CompiledStructureFunction, np.ndarray]:
+        """The memoized compiled fault tree of one structure key."""
+        with self._lock:
+            found = self._structures.get(key)
+            if found is not None:
+                self._structures.move_to_end(key)
+                return found
+        from ..casestudies.boeing import generate_boeing_style_tree
+
+        n_sections, events_per_section, shared_events, seed = key
+        tree = generate_boeing_style_tree(
+            n_sections=n_sections,
+            events_per_section=events_per_section,
+            shared_events=shared_events,
+            seed=seed,
+        )
+        sf = CompiledStructureFunction.from_fault_tree(tree)
+        shared = np.array([name.startswith("shared") for name in sf.names])
+        with self._lock:
+            found = self._structures.setdefault(key, (sf, shared))
+            while len(self._structures) > self.STRUCTURE_LIMIT:
+                self._structures.popitem(last=False)
+        return found
+
+    def evaluate_many(self, assignments: Sequence[Mapping[str, float]]) -> np.ndarray:
+        from ..casestudies.boeing import resolve_parameters
+
+        groups: Dict[Tuple[int, int, int, int], List[int]] = {}
+        probabilities = np.empty((len(assignments), 2))
+        for i, assignment in enumerate(assignments):
+            knobs = resolve_parameters(assignment)
+            # the generator creates the shared events first
+            probabilities[i, 1] = check_probability(knobs["shared_probability"])
+            probabilities[i, 0] = check_probability(knobs["event_probability"])
+            key = (
+                knobs["n_sections"],
+                knobs["events_per_section"],
+                knobs["shared_events"],
+                knobs["seed"],
+            )
+            groups.setdefault(key, []).append(i)
+        out = np.empty(len(assignments))
+        for key, members in groups.items():
+            sf, shared = self._structure(key)
+            rows = probabilities[members]
+            P = np.where(shared, rows[:, 1:2], rows[:, 0:1])
+            out[members] = 1.0 - sf.evaluate(P)
+        return out
+
+    def size(self) -> Dict[str, int]:
+        from ..casestudies.boeing import PARAMETER_DEFAULTS as d
+
+        return {
+            "n_states": 0,
+            "n_chains": 0,
+            "n_components": d["n_sections"] * d["events_per_section"] + d["shared_events"],
+            "n_structure_functions": 1,
+        }
+
+
 #: name -> "module:Class" spec of the compiled evaluator, for
 #: compile_model("bladecenter") etc.  Lazy string specs (same format as
 #: ``__compiles_to__``) so entries may live in modules that import this
 #: one — ``repro.compile.sparse`` does.
 _NAMED_MODELS: Dict[str, str] = {
     "bladecenter": "repro.compile.model:CompiledBladeCenter",
+    "boeing": "repro.compile.model:CompiledBoeingTree",
     "cisco": "repro.compile.model:CompiledCiscoRouter",
     "sun": "repro.compile.model:CompiledSunPlatform",
     "nfvchain": "repro.compile.sparse:CompiledNFVChain",
@@ -446,8 +542,8 @@ def compile_model(target):
         * a case-study evaluator function carrying ``__compiles_to__``
           (e.g. ``bladecenter.evaluate_availability``) — resolved to its
           compiled class, one shared instance per process;
-        * a case-study name: ``"bladecenter"``, ``"cisco"``, ``"sun"``,
-          ``"nfvchain"``;
+        * a case-study name: ``"bladecenter"``, ``"boeing"``,
+          ``"cisco"``, ``"sun"``, ``"nfvchain"``;
         * a :class:`~repro.markov.CTMC` →
           :meth:`CompiledCTMC.from_ctmc`;
         * a :class:`~repro.sparse.SparseCTMC` — returned as-is: its CSR

@@ -44,7 +44,13 @@ from scipy import sparse
 from scipy.sparse import linalg as sparse_linalg
 
 from ..exceptions import ConvergenceError, ModelDefinitionError, SolverError
-from ..markov.fallback import SolverReport, solve_steady_state
+from ..markov.fallback import (
+    GeneratorDiagnostics,
+    SolverReport,
+    _walk_fallback_chain,
+    generator_diagnostics,
+    solve_steady_state,
+)
 from ..markov.registry import consume_iterations
 from ..obs.trace import get_tracer
 from ..sparse.ctmc import SparseCTMC
@@ -137,6 +143,11 @@ class CompiledSparseCTMC(_FrozenChain, CompiledEvaluator):
         self._build_values: Dict[str, float] = dict(build_values or {})
         self._ref_pi: Optional[np.ndarray] = None
         self._aug: Optional[Tuple] = None
+        #: which CSR slots hold off-diagonal entries (everything but the diagonal)
+        self._off_mask = np.ones(self._nnz, dtype=bool)
+        self._off_mask[self._diag_slots] = False
+        #: strongly connected components of the all-rates-positive pattern
+        self._n_strong: Optional[int] = None
         tracer = get_tracer()
         if tracer.enabled:
             tracer.metrics.counter("compile.sparse.structure_builds").inc()
@@ -241,7 +252,57 @@ class CompiledSparseCTMC(_FrozenChain, CompiledEvaluator):
         tracer = get_tracer()
         if tracer.enabled:
             tracer.metrics.counter("compile.reuse", kind="sparse").inc()
-        return solve_steady_state(q, iterative_limit=self.ITERATIVE_LIMIT, x0=x0)
+        start = perf_counter()
+        diagnostics = self._frozen_diagnostics(q)
+        if diagnostics is None:
+            return solve_steady_state(q, iterative_limit=self.ITERATIVE_LIMIT, x0=x0)
+        return _walk_fallback_chain(
+            q,
+            diagnostics,
+            perf_counter() - start,
+            iterative_limit=self.ITERATIVE_LIMIT,
+            x0=x0,
+        )
+
+    def _frozen_diagnostics(self, q: sparse.csr_matrix) -> Optional[GeneratorDiagnostics]:
+        """The solver pre-flight of a filled generator, keyed on structure.
+
+        When every stored off-diagonal rate is finite and positive, the
+        nonzero pattern is the frozen CSR pattern, so its strongly
+        connected components are counted once per structure; the rest
+        of :func:`~repro.markov.fallback.generator_diagnostics` is an
+        O(nnz) scan of ``q.data`` that equals the full computation field
+        for field, and such a generator passes
+        :func:`~repro.markov.solvers.validate_generator` exactly when its
+        row sums are within tolerance.  Returns ``None`` — take the full
+        pre-flight, which raises what it always raised — for any zero,
+        negative or non-finite entry, a row sum out of tolerance, or a
+        chain without off-diagonal entries.
+        """
+        data = q.data
+        off = data[self._off_mask]
+        if not off.size or not np.all(np.isfinite(data)) or not off.min() > 0.0:
+            return None
+        row_sums = np.asarray(q.sum(axis=1)).ravel()
+        max_row_err = float(np.abs(row_sums).max())
+        # validate_generator's check, at its default tolerance
+        if not max_row_err <= 1e-8 * max(1.0, float(np.abs(data).max())):
+            return None
+        if self._n_strong is None:
+            diagnostics = generator_diagnostics(q)
+            self._n_strong = diagnostics.n_strong_components
+            return diagnostics
+        max_rate = float(off.max())
+        min_rate = float(off.min())
+        return GeneratorDiagnostics(
+            n_states=self.n,
+            nnz=int(off.size),
+            max_rate=max_rate,
+            min_rate=min_rate,
+            stiffness_ratio=float(max_rate / min_rate),
+            max_row_sum_error=max_row_err,
+            n_strong_components=self._n_strong,
+        )
 
     def steady_state(
         self,

@@ -336,7 +336,43 @@ def solve_steady_state(
     validation_start = time.perf_counter()
     validate_generator(q)
     validation_seconds = time.perf_counter() - validation_start
-    diagnostics = generator_diagnostics(q)
+    return _walk_fallback_chain(
+        q,
+        generator_diagnostics(q),
+        validation_seconds,
+        method=method,
+        order=order,
+        residual_tol=residual_tol,
+        dense_limit=dense_limit,
+        stiffness_threshold=stiffness_threshold,
+        iterative_limit=iterative_limit,
+        stages=stages,
+        x0=x0,
+    )
+
+
+def _walk_fallback_chain(
+    q: sparse.csr_matrix,
+    diagnostics: GeneratorDiagnostics,
+    validation_seconds: float,
+    method: str = "auto",
+    order: Optional[Sequence[str]] = None,
+    residual_tol: float = 1e-8,
+    dense_limit: int = 2000,
+    stiffness_threshold: float = 1e8,
+    iterative_limit: int = 50_000,
+    stages: Optional[Mapping[str, Callable]] = None,
+    x0: Optional[np.ndarray] = None,
+) -> SolverReport:
+    """The body of :func:`solve_steady_state` after the pre-flight.
+
+    ``q`` is a CSR generator that already passed
+    :func:`~repro.markov.solvers.validate_generator` and ``diagnostics``
+    its :func:`generator_diagnostics` — a compiled chain whose structure
+    is frozen derives both without the full scans and enters here.
+    Refuses empty and reducible chains, orders the stages and walks them
+    with the finiteness, sign and residual guards.
+    """
     if diagnostics.n_states == 0:
         raise ModelDefinitionError("generator has no states")
     if not diagnostics.irreducible and diagnostics.n_states > 1:

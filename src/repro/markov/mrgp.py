@@ -41,10 +41,20 @@ from ..distributions import Deterministic, LifetimeDistribution
 from ..exceptions import ModelDefinitionError, SolverError, StateSpaceError
 from .ctmc import CTMC
 from .dtmc import DTMC
+from .solvers import _cumulative_uniformized, _transient_uniformized, _uniformized_transpose
 
 __all__ = ["GeneralTransition", "MarkovRegenerativeProcess"]
 
 State = Hashable
+
+#: (subordinated chain, region states, exit states, quadrature points,
+#: sorted distinct times, uniformized (Pᵀ, Λ)) of one general transition
+_Subordinated = Tuple[CTMC, List[State], List[State], List[float], np.ndarray, tuple]
+
+#: ``CTMC.transient`` / ``cumulative_transient`` defaults, so the cycle
+#: solves reproduce the chain's own front doors bit for bit
+_TRANSIENT_TOL = 1e-10
+_TRANSIENT_MAX_TERMS = 100_000
 
 
 class GeneralTransition:
@@ -204,11 +214,31 @@ class MarkovRegenerativeProcess:
         region_states = [s for s in chain.states if s in region]
         return chain, region_states, exits
 
+    def _subordinated(
+        self, transition: GeneralTransition, n_quadrature: int
+    ) -> _Subordinated:
+        """What every entry into ``transition``'s region shares.
+
+        The subordinated chain, the timer's quadrature points and the
+        uniformized matrix depend on the region, not on where the cycle
+        enters it — one build serves every entry state and both the
+        transient and the cumulative pass.
+        """
+        chain, region_states, exits = self._subordinated_chain(transition)
+        if isinstance(transition.firing_time, Deterministic):
+            points = [transition.firing_time.value]
+        else:
+            qs = (np.arange(n_quadrature) + 0.5) / n_quadrature
+            points = [float(transition.firing_time.ppf(q)) for q in qs]
+        times = np.array(sorted(set(points)), dtype=float)
+        uniformized = _uniformized_transpose(chain.generator())
+        return chain, region_states, exits, points, times, uniformized
+
     def _general_cycle(
         self,
         entry: State,
         transition: GeneralTransition,
-        n_quadrature: int,
+        subordinated: _Subordinated,
     ) -> Tuple[Dict[State, float], Dict[State, float], float]:
         """(jump probabilities, sojourns, cycle length) for a region entry.
 
@@ -217,17 +247,17 @@ class MarkovRegenerativeProcess:
         subordinated chain's transient and cumulative-transient solutions
         at ``w``.
         """
-        chain, region_states, exits = self._subordinated_chain(transition)
-        if isinstance(transition.firing_time, Deterministic):
-            points = [transition.firing_time.value]
-        else:
-            qs = (np.arange(n_quadrature) + 0.5) / n_quadrature
-            points = [float(transition.firing_time.ppf(q)) for q in qs]
+        chain, region_states, exits, points, times, uniformized = subordinated
         weights = [1.0 / len(points)] * len(points)
 
-        times = np.array(sorted(set(points)))
-        probs = chain.transient(times, entry)
-        cumulative = chain.cumulative_transient(times, entry)
+        # The chain's own transient / cumulative_transient front doors,
+        # minus rebuilding the uniformized matrix per call; both passes
+        # combine one power sequence of the entry's initial vector.
+        vectors = [chain._initial_vector(entry)]
+        probs = _transient_uniformized(
+            chain.generator(), uniformized, vectors, times, _TRANSIENT_TOL, _TRANSIENT_MAX_TERMS
+        )
+        cumulative = _cumulative_uniformized(uniformized, vectors, times, _TRANSIENT_TOL)
         time_index = {t: k for k, t in enumerate(times)}
 
         jumps: Dict[State, float] = {}
@@ -257,14 +287,6 @@ class MarkovRegenerativeProcess:
                     cycle_length += weight * stay
         return jumps, sojourns, cycle_length
 
-    def _cycle(
-        self, state: State, n_quadrature: int
-    ) -> Tuple[Dict[State, float], Dict[State, float], float]:
-        transition = self._general_for(state)
-        if transition is None:
-            return self._exponential_cycle(state)
-        return self._general_cycle(state, transition, n_quadrature)
-
     # ------------------------------------------------------------ analysis
     def steady_state(self, n_quadrature: int = 64) -> Dict[State, float]:
         """Long-run state probabilities.
@@ -285,16 +307,22 @@ class MarkovRegenerativeProcess:
         if not self._states:
             raise ModelDefinitionError("MRGP has no states")
         cycles: Dict[State, Tuple[Dict[State, float], Dict[State, float], float]] = {}
-
-        def ensure_cycle(state: State) -> None:
-            if state not in cycles:
-                cycles[state] = self._cycle(state, n_quadrature)
+        # One subordinated build per general transition for this call.
+        subordinated: Dict[GeneralTransition, _Subordinated] = {}
 
         # Discover cycle-entry states reachable from every state (steady
         # state of an irreducible MRGP touches them all; harmless extras
         # get zero embedded probability).
         for state in self._states:
-            ensure_cycle(state)
+            transition = self._general_for(state)
+            if transition is None:
+                cycles[state] = self._exponential_cycle(state)
+                continue
+            if transition not in subordinated:
+                subordinated[transition] = self._subordinated(transition, n_quadrature)
+            cycles[state] = self._general_cycle(
+                state, transition, subordinated[transition]
+            )
 
         # The embedded chain may contain transient entry states (states
         # only visited inside a region, never entered from outside).  GTH

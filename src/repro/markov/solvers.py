@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 from scipy import integrate as scipy_integrate
@@ -396,10 +396,51 @@ def transient_uniformization(
     times = np.asarray(times, dtype=float)
     if times.size and times.min() < 0:
         raise SolverError("times must be non-negative")
+    return _transient_uniformized(
+        generator,
+        _uniformized_transpose(generator),
+        [np.asarray(initial, dtype=float)],
+        times,
+        tol,
+        max_terms,
+    )
+
+
+def _uniformized_transpose(generator: sparse.spmatrix) -> Tuple[sparse.csr_matrix, float]:
+    """``(Pᵀ, Λ)`` of :func:`uniformized_matrix`: what both uniformization
+    series step with, so callers solving one generator from several
+    initial vectors build it once."""
     p, lam = uniformized_matrix(generator)
-    pt = p.transpose().tocsr()
-    n = p.shape[0]
-    initial = np.asarray(initial, dtype=float)
+    return p.transpose().tocsr(), lam
+
+
+def _power_sequence(pt: sparse.csr_matrix, vectors: List[np.ndarray], k_max: int) -> None:
+    """Extend ``vectors = [v, vP, vP², ...]`` in place through ``vP^k_max``.
+
+    Both uniformization series combine the same sequence with different
+    weights, so a caller running both from one initial vector passes
+    one list and each matrix-vector product happens once.
+    """
+    vec = vectors[-1]
+    for _ in range(len(vectors) - 1, k_max):
+        vec = pt @ vec
+        vectors.append(vec)
+
+
+def _transient_uniformized(
+    generator: sparse.spmatrix,
+    uniformized: Tuple[sparse.csr_matrix, float],
+    vectors: List[np.ndarray],
+    times: np.ndarray,
+    tol: float,
+    max_terms: int,
+) -> np.ndarray:
+    """:func:`transient_uniformization` on a prebuilt ``(Pᵀ, Λ)`` and
+    power sequence ``vectors`` (at least the initial vector; extended
+    in place).  ``times`` is an already validated float array."""
+    pt, lam = uniformized
+    n = pt.shape[0]
+    initial = vectors[0]
     if initial.shape != (n,):
         raise SolverError(f"initial vector has shape {initial.shape}, expected ({n},)")
 
@@ -429,11 +470,7 @@ def transient_uniformization(
     ):
         # Precompute the Krylov-style sequence v_k = initial P^k once,
         # then combine with each time's Poisson weights.
-        vectors = [initial]
-        vec = initial
-        for _ in range(k_max):
-            vec = pt @ vec
-            vectors.append(vec)
+        _power_sequence(pt, vectors, k_max)
 
         for idx, t in enumerate(times):
             lam_t = lam * float(t)
@@ -530,22 +567,28 @@ def cumulative_uniformization(
     times = np.asarray(times, dtype=float)
     if times.size and times.min() < 0:
         raise SolverError("times must be non-negative")
-    p, lam = uniformized_matrix(generator)
-    pt = p.transpose().tocsr()
-    n = p.shape[0]
-    initial = np.asarray(initial, dtype=float)
+    return _cumulative_uniformized(
+        _uniformized_transpose(generator), [np.asarray(initial, dtype=float)], times, tol
+    )
+
+
+def _cumulative_uniformized(
+    uniformized: Tuple[sparse.csr_matrix, float],
+    vectors: List[np.ndarray],
+    times: np.ndarray,
+    tol: float,
+) -> np.ndarray:
+    """:func:`cumulative_uniformization` on a prebuilt ``(Pᵀ, Λ)`` and
+    power sequence (see :func:`_transient_uniformized`)."""
+    pt, lam = uniformized
+    n = pt.shape[0]
 
     out = np.empty((times.size, n))
     max_time = float(times.max()) if times.size else 0.0
     # The tail weights decay like the Poisson tail; adding a margin to the
     # truncation point keeps the integrated error within tolerance.
     k_max = _truncation_point_cached(lam * max_time, tol * 1e-3) + 10
-
-    vectors = [initial]
-    vec = initial
-    for _ in range(k_max):
-        vec = pt @ vec
-        vectors.append(vec)
+    _power_sequence(pt, vectors, k_max)
 
     for idx, t in enumerate(times):
         lam_t = lam * float(t)

@@ -5,7 +5,9 @@ interrupted — the first ``SIGTERM``/``SIGINT`` drains in-flight
 requests and exits 0, a second force-exits
 (:class:`~repro.robust.GracefulShutdown`).  With ``--selfcheck`` it instead boots a complete server
 on an ephemeral port, exercises every registered model over real HTTP —
-values must match direct evaluation bit-for-bit — probes the error
+values must match direct evaluation bit-for-bit, and a 4-point what-if
+array per model must match the case study's *uncompiled* module-level
+``evaluate_availability`` byte for byte — probes the error
 paths (malformed JSON, unknown model) and the ``/metrics`` endpoint,
 times keep-alive round trips on one connection (a reply split over two
 writes stalls ~40 ms on Nagle + delayed ACK), shuts down gracefully,
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import http.client
+import importlib
 import json
 import statistics
 import sys
@@ -35,6 +38,22 @@ __all__ = ["main", "selfcheck"]
 #: round trip, so a 10 ms median leaves a 4x margin.
 KEEPALIVE_ROUND_TRIPS = 20
 KEEPALIVE_MEDIAN_MS = 10.0
+
+#: model -> (knob, values): the 4-point what-if array posted per model.
+#: Served values are compared with ``repro.casestudies.<model>.
+#: evaluate_availability`` itself, so drift between a compiled
+#: evaluator and the uncompiled study fails the selfcheck.
+WHATIF_ARRAYS = {
+    "bladecenter": ("cpu_failure_rate", (1e-6, 2e-6, 3e-6, 4e-6)),
+    "boeing": ("event_probability", (5e-4, 8e-4, 1.5e-3, 2e-3)),
+    "cisco": ("coverage", (0.9, 0.93, 0.96, 0.99)),
+    "nfvchain": ("failure_rate", (2e-4, 7e-4, 2e-3, 5e-3)),
+    "rejuvenation": ("interval", (120.0, 200.0, 300.0, 480.0)),
+    "sip": ("n_nodes", (3, 5, 6, 8)),
+    "sun": ("coverage", (0.9, 0.93, 0.96, 0.99)),
+    "telecom": ("coverage", (0.9, 0.93, 0.96, 0.99)),
+    "wfs": ("n_workstations", (3, 5, 6, 8)),
+}
 
 
 def _request(
@@ -98,6 +117,24 @@ def selfcheck(quiet: bool = False) -> int:
                 status == 200 and served == expected,
                 f"POST /models/{name}/evaluate matches direct evaluation "
                 f"({served!r} == {expected!r})",
+            )
+
+        check(
+            set(WHATIF_ARRAYS) == set(registry.names()),
+            "every registered model has a what-if array",
+        )
+        for name, (knob, values) in sorted(WHATIF_ARRAYS.items()):
+            points = [{knob: value} for value in values]
+            uncompiled = importlib.import_module(f"repro.casestudies.{name}")
+            expected = [float(uncompiled.evaluate_availability(p)).hex() for p in points]
+            status, body = _request(
+                host, port, "POST", f"/models/{name}/evaluate", json.dumps(points).encode()
+            )
+            served = json.loads(body).get("values") or []
+            check(
+                status == 200 and [float(v).hex() for v in served] == expected,
+                f"POST /models/{name}/evaluate {len(points)}-point {knob} array is "
+                f"byte-identical to the uncompiled study",
             )
 
         # client batch + result-cache round trip on one model

@@ -290,13 +290,18 @@ class ModelRegistry:
 def default_registry(diagnostics: str = "strict", probe: bool = True) -> ModelRegistry:
     """A registry preloaded with the nine tutorial case studies.
 
-    The three compiled studies (BladeCenter, Cisco, Sun) serve their
-    warm :class:`~repro.compile.CompiledEvaluator` singletons; the
-    remaining six serve their module-level ``evaluate_availability``
-    wrappers with an explicit analyzable model and honest hand-counted
-    ``size`` metadata.  The NFV chain is the scalable entry: its
-    evaluator regenerates the lazy sparse chain per parameter point, so
-    callers can dial ``n_vnfs``/``replicas`` up to 10^5+ states.
+    Five studies advertise a compiled form and serve its warm
+    :class:`~repro.compile.CompiledEvaluator` singleton: BladeCenter,
+    Cisco and Sun (frozen leaf chains and structure functions), Boeing
+    (one BDD per tree structure) and the NFV chain (one frozen CSR
+    structure per count signature, refilled per rate point).  The other
+    four (WFS, SIP, telecom, rejuvenation) serve their module-level
+    ``evaluate_availability`` wrappers.  Entries that are not compiled,
+    and the net- or tree-backed compiled ones, register an explicit
+    analyzable model; ``size`` is the compiled evaluator's own or an
+    honest hand count.  The NFV chain is the scalable entry: callers
+    can dial ``n_vnfs``/``replicas`` up to 10^5+ states, within the
+    caps its ``resolve_parameters`` documents.
     """
     from ..casestudies import (
         bladecenter,
@@ -425,22 +430,12 @@ def default_registry(diagnostics: str = "strict", probe: bool = True) -> ModelRe
             "n_structure_functions": 0,
         },
     )
-    boeing_defaults = dict(boeing.PARAMETER_DEFAULTS)
     add(
         "boeing",
         boeing.evaluate_availability,
-        "Boeing-style current-return-network fault tree (E05)",
-        parameters=tuple(boeing.PARAMETER_DEFAULTS),
-        defaults=boeing_defaults,
+        "Boeing-style current-return-network fault tree (E05, compiled)",
+        defaults=dict(boeing.PARAMETER_DEFAULTS),
         model=boeing.generate_boeing_style_tree(),
         query=None,
-        size={
-            "n_states": 0,
-            "n_chains": 0,
-            "n_components": boeing_defaults["n_sections"]
-            * boeing_defaults["events_per_section"]
-            + boeing_defaults["shared_events"],
-            "n_structure_functions": 1,
-        },
     )
     return registry

@@ -6,10 +6,11 @@ import struct
 import numpy as np
 import pytest
 
-from repro.casestudies import bladecenter, cisco, sun
+from repro.casestudies import bladecenter, boeing, cisco, sun
 from repro.compile import compile_model, supports_compilation
 from repro.compile.model import (
     CompiledBladeCenter,
+    CompiledBoeingTree,
     CompiledCiscoRouter,
     CompiledEvaluator,
     CompiledSunPlatform,
@@ -59,7 +60,25 @@ CASES = [
         ],
         id="sun",
     ),
+    pytest.param(
+        boeing.evaluate_availability,
+        CompiledBoeingTree,
+        [
+            {},
+            {"event_probability": 2e-3},
+            {"shared_probability": 1e-2, "n_sections": 5},
+            {"seed": 7, "events_per_section": 3, "shared_events": 2},
+        ],
+        id="boeing",
+    ),
 ]
+
+#: per class, the knob the error-parity cases perturb when it has no
+#: ``coverage``
+_STAND_IN = {
+    CompiledSunPlatform: "failure_rate",
+    CompiledBoeingTree: "event_probability",
+}
 
 
 class TestBitIdentity:
@@ -91,7 +110,7 @@ class TestErrorParity:
     )
     def test_same_exception_and_message(self, evaluate, cls, points, bad):
         if "coverage" in bad and "coverage" not in compile_model(evaluate).parameters:
-            bad = {"failure_rate" if cls is CompiledSunPlatform else "disk_failure_rate": next(iter(bad.values()))}
+            bad = {_STAND_IN.get(cls, "disk_failure_rate"): next(iter(bad.values()))}
         compiled = compile_model(evaluate)
         with pytest.raises(ModelDefinitionError) as uncompiled_exc:
             evaluate(bad)
@@ -104,6 +123,7 @@ class TestCompileModel:
     def test_names_resolve_to_singletons(self):
         for name, cls in (
             ("bladecenter", CompiledBladeCenter),
+            ("boeing", CompiledBoeingTree),
             ("cisco", CompiledCiscoRouter),
             ("sun", CompiledSunPlatform),
         ):
@@ -142,7 +162,7 @@ class TestCompileModel:
 
     def test_unknown_name_raises(self):
         with pytest.raises(ModelDefinitionError, match="unknown model name"):
-            compile_model("boeing")
+            compile_model("no_such_model")
 
     def test_uncompilable_target_raises(self):
         with pytest.raises(ModelDefinitionError, match="cannot compile"):
@@ -161,7 +181,8 @@ class TestCompileModel:
         assert supports_compilation("sun")
         assert supports_compilation(compile_model("cisco"))
         assert supports_compilation(CTMC([("a")]))
-        assert not supports_compilation("boeing")
+        assert supports_compilation("boeing")
+        assert not supports_compilation("no_such_model")
         assert not supports_compilation(lambda a: 1.0)
 
     def test_ship_once_flag(self):

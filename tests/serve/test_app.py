@@ -1,6 +1,7 @@
 """Transport-free API contract tests: ``ServeApp.handle`` directly."""
 
 import json
+import time
 
 import pytest
 
@@ -119,6 +120,27 @@ class TestEvaluate:
         (error,) = payload["errors"]
         assert error["error_type"] == "ModelDefinitionError"
         assert "bogus_name" in error["message"]
+
+    @pytest.mark.parametrize(
+        "model, knob, cap",
+        [
+            ("boeing", "n_sections", "the cap is 1024"),
+            ("wfs", "n_workstations", "at most 500"),
+            ("sip", "n_nodes", "at most 10000"),
+            ("nfvchain", "replicas", "at most 500"),
+            ("nfvchain", "n_vnfs", "at most 64"),
+        ],
+    )
+    def test_oversized_structure_knob_is_prompt_422(self, app, model, knob, cap):
+        started = time.perf_counter()
+        status, payload = call(
+            app, "POST", f"/models/{model}/evaluate", json.dumps({knob: 1e7}).encode()
+        )
+        assert time.perf_counter() - started < 5.0
+        assert status == 422
+        (error,) = payload["errors"]
+        assert error["error_type"] == "ModelDefinitionError"
+        assert knob in error["message"] and cap in error["message"]
 
     def test_partial_batch_failure_is_200_with_records(self, app):
         body = json.dumps([{"k_required": 2}, {"k_required": 2.5}]).encode()
