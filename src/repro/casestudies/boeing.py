@@ -24,6 +24,7 @@ from typing import List, Mapping, Optional, Tuple
 
 import numpy as np
 
+from .._memo import BoundedMemo
 from ..exceptions import ModelDefinitionError
 from ..nonstate.bounds import FaultTreeBounds
 from ..nonstate.faulttree import AndGate, BasicEvent, FaultTree, KofNGate, OrGate
@@ -178,6 +179,36 @@ def resolve_parameters(assignment: Mapping[str, float]) -> dict:
             f"events_per_section + shared_events); the cap is {MAX_BASIC_EVENTS}"
         )
     return merged
+
+
+#: Structure key ``(n_sections, events_per_section, shared_events,
+#: seed)`` → (compiled top-event function, per-column "is a shared
+#: event" mask).  Sweeps vary probabilities over a handful of trees, and
+#: :data:`MAX_BASIC_EVENTS` bounds each entry.
+_STRUCTURE_CACHE_LIMIT = 8
+_STRUCTURE_CACHE: "BoundedMemo[tuple]" = BoundedMemo(_STRUCTURE_CACHE_LIMIT)
+
+
+def _compiled_tree(key: Tuple[int, int, int, int]) -> tuple:
+    """The memoized compiled fault tree of one structure key (the
+    compiled evaluator's build-once step; the probabilities only fill
+    its columns)."""
+    return _STRUCTURE_CACHE.get(key, lambda: _build_compiled_tree(*key))
+
+
+def _build_compiled_tree(
+    n_sections: int, events_per_section: int, shared_events: int, seed: int
+) -> tuple:
+    from ..compile.structure import CompiledStructureFunction
+
+    tree = generate_boeing_style_tree(
+        n_sections=n_sections,
+        events_per_section=events_per_section,
+        shared_events=shared_events,
+        seed=seed,
+    )
+    sf = CompiledStructureFunction.from_fault_tree(tree)
+    return sf, np.array([name.startswith("shared") for name in sf.names])
 
 
 def evaluate_availability(assignment: Mapping[str, float]) -> float:

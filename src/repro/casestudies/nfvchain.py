@@ -27,14 +27,13 @@ routes to the same availability number keep the big runs honest:
 from __future__ import annotations
 
 import math
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Mapping, Optional, Tuple
 
 import numpy as np
 from scipy import sparse as _sp
 
+from .._memo import BoundedMemo
 from ..exceptions import ModelDefinitionError
 from ..markov.ctmc import CTMC
 from ..petrinet.net import PetriNet
@@ -253,9 +252,8 @@ def _nfv_rate_terms(spec: NFVChainSpec):
 #: rate-only sweep point reuses one frozen structure instead of
 #: re-running BFS reachability.  Bounded: real sweeps vary rates over a
 #: handful of topologies, and one 10^6-state structure is ~100 MB.
-_STRUCTURE_CACHE: "OrderedDict[Tuple[int, int, int, int], CompiledSparseCTMC]" = OrderedDict()
 _STRUCTURE_CACHE_LIMIT = 8
-_STRUCTURE_LOCK = threading.Lock()
+_STRUCTURE_CACHE: "BoundedMemo[CompiledSparseCTMC]" = BoundedMemo(_STRUCTURE_CACHE_LIMIT)
 
 
 def compile_nfv_chain(spec: NFVChainSpec = NFVChainSpec()) -> "CompiledSparseCTMC":
@@ -270,11 +268,10 @@ def compile_nfv_chain(spec: NFVChainSpec = NFVChainSpec()) -> "CompiledSparseCTM
     parameter values per call.
     """
     key = (spec.n_vnfs, spec.replicas, spec.min_replicas, spec.repair_crews)
-    with _STRUCTURE_LOCK:
-        compiled = _STRUCTURE_CACHE.get(key)
-        if compiled is not None:
-            _STRUCTURE_CACHE.move_to_end(key)
-            return compiled
+    return _STRUCTURE_CACHE.get(key, lambda: _build_structure(spec))
+
+
+def _build_structure(spec: NFVChainSpec) -> "CompiledSparseCTMC":
     from ..sparse.reachability import build_sparse_reachability
 
     result = build_sparse_reachability(
@@ -283,12 +280,7 @@ def compile_nfv_chain(spec: NFVChainSpec = NFVChainSpec()) -> "CompiledSparseCTM
         rate_terms=_nfv_rate_terms(spec),
         rate_values=_rate_values(spec),
     )
-    compiled = result.compiled
-    with _STRUCTURE_LOCK:
-        _STRUCTURE_CACHE[key] = compiled
-        while len(_STRUCTURE_CACHE) > _STRUCTURE_CACHE_LIMIT:
-            _STRUCTURE_CACHE.popitem(last=False)
-    return compiled
+    return result.compiled
 
 
 def stage_availability(spec: NFVChainSpec) -> float:

@@ -26,8 +26,6 @@ auto-compile hook and :func:`supports_compilation` key off it.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -364,59 +362,21 @@ class CompiledBoeingTree(CompiledEvaluator):
 
     The uncompiled evaluator regenerates the tree and rebuilds its BDD
     at every point.  Here the count knobs and the seed form a structure
-    key whose :class:`CompiledStructureFunction` is built once and
-    memoized; the two probabilities only fill the columns (shared events
-    take ``shared_probability``, section-local ones
+    key whose :class:`CompiledStructureFunction` is built once and kept
+    in the case study's bounded structure memo (shared by every
+    instance and thread); the two probabilities only fill the columns
+    (shared events take ``shared_probability``, section-local ones
     ``event_probability``).  A batch is grouped by structure and each
     group evaluated in one pass.
     """
-
-    #: Structures kept: sweeps vary probabilities over a handful of
-    #: trees, and ``boeing.MAX_BASIC_EVENTS`` bounds each one.
-    STRUCTURE_LIMIT = 8
 
     def __init__(self):
         from ..casestudies.boeing import PARAMETER_DEFAULTS
 
         self.parameters = tuple(PARAMETER_DEFAULTS)
-        #: structure key → (compiled top-event function, per-column
-        #: "is a shared event" mask), least recently used first
-        self._structures: OrderedDict = OrderedDict()
-        self._lock = threading.Lock()
-
-    def __reduce__(self):
-        # The memo and its lock belong to one process; a worker starts
-        # empty and builds the structures its points ask for.
-        return (type(self), ())
-
-    def _structure(
-        self, key: Tuple[int, int, int, int]
-    ) -> Tuple[CompiledStructureFunction, np.ndarray]:
-        """The memoized compiled fault tree of one structure key."""
-        with self._lock:
-            found = self._structures.get(key)
-            if found is not None:
-                self._structures.move_to_end(key)
-                return found
-        from ..casestudies.boeing import generate_boeing_style_tree
-
-        n_sections, events_per_section, shared_events, seed = key
-        tree = generate_boeing_style_tree(
-            n_sections=n_sections,
-            events_per_section=events_per_section,
-            shared_events=shared_events,
-            seed=seed,
-        )
-        sf = CompiledStructureFunction.from_fault_tree(tree)
-        shared = np.array([name.startswith("shared") for name in sf.names])
-        with self._lock:
-            found = self._structures.setdefault(key, (sf, shared))
-            while len(self._structures) > self.STRUCTURE_LIMIT:
-                self._structures.popitem(last=False)
-        return found
 
     def evaluate_many(self, assignments: Sequence[Mapping[str, float]]) -> np.ndarray:
-        from ..casestudies.boeing import resolve_parameters
+        from ..casestudies.boeing import _compiled_tree, resolve_parameters
 
         groups: Dict[Tuple[int, int, int, int], List[int]] = {}
         probabilities = np.empty((len(assignments), 2))
@@ -434,7 +394,7 @@ class CompiledBoeingTree(CompiledEvaluator):
             groups.setdefault(key, []).append(i)
         out = np.empty(len(assignments))
         for key, members in groups.items():
-            sf, shared = self._structure(key)
+            sf, shared = _compiled_tree(key)
             rows = probabilities[members]
             P = np.where(shared, rows[:, 1:2], rows[:, 0:1])
             out[members] = 1.0 - sf.evaluate(P)

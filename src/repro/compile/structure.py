@@ -27,11 +27,11 @@ Two lowering modes, mirroring the RBD dispatch rule:
 * **bdd** — repeated components (or any fault tree): the reachable
   ROBDD nodes are flattened into ``(column, low, high)`` arrays in
   decreasing-level order (children strictly below parents in an ordered
-  BDD) and grouped into layers of equal height above the terminals, so
-  the Shannon expansion ``value = (1 - p) * low + p * high`` runs once
-  per *layer* over the whole point matrix.  A handful of points instead
-  walk the nodes one by one in plain Python floats — the scalar
-  expression ``BDD.prob`` evaluates, without per-layer numpy overhead.
+  BDD), and the Shannon expansion
+  ``value = (1 - p) * low + p * high`` runs once per node over the whole
+  point matrix.  A handful of points instead walk the nodes one by one
+  in plain Python floats — the scalar expression ``BDD.prob`` evaluates,
+  without per-node numpy overhead.
 
 The compiled object holds only plain tuples and numpy arrays — it
 pickles cheaply and crosses process boundaries once per worker.
@@ -51,8 +51,11 @@ __all__ = ["CompiledStructureFunction"]
 _TERMINAL_SLOTS = 2  # slot 0 = constant 0, slot 1 = constant 1
 
 #: Below this many points a BDD program walks its nodes per point in
-#: Python floats; from here on the per-layer vectorized pass is cheaper.
-_VECTOR_MIN_POINTS = 8
+#: Python floats; from here on the per-node vectorized loop is cheaper.
+#: Measured crossover on a 2-vCPU x86 host: 24-48 points for Boeing
+#: trees of 259-980 BDD nodes (one point: ~35 µs walked vs ~0.7 ms
+#: looped over the 259-node default tree).
+_VECTOR_MIN_POINTS = 32
 
 
 class CompiledStructureFunction:
@@ -90,10 +93,10 @@ class CompiledStructureFunction:
         if (tree is None) == (bdd_program is None):
             raise ModelDefinitionError("exactly one of tree / bdd_program is required")
         self._tree = tree
+        self._bdd_program = bdd_program
         if bdd_program is not None:
-            cols, lows, highs, self._bdd_root = bdd_program
+            cols, lows, highs, _ = bdd_program
             self._bdd_steps = list(zip(cols.tolist(), lows.tolist(), highs.tolist()))
-            self._bdd_layers = _bdd_layers(cols, lows, highs)
         self._missing_message = missing_message
         # Names whose absence prob() reports — all of them for RBDs, the
         # BDD support for fault trees (mirroring the uncompiled checks).
@@ -207,7 +210,7 @@ class CompiledStructureFunction:
         return self._eval_bdd(P)
 
     def _eval_bdd(self, P: np.ndarray) -> np.ndarray:
-        root_slot = self._bdd_root
+        cols, lows, highs, root_slot = self._bdd_program
         n_points = P.shape[0]
         if n_points < _VECTOR_MIN_POINTS:
             out = np.empty(n_points)
@@ -218,13 +221,12 @@ class CompiledStructureFunction:
                     vals.append((1.0 - p) * vals[low] + p * vals[high])
                 out[i] = vals[root_slot]
             return out
-        PT = np.ascontiguousarray(P.T)
-        vals = np.empty((_TERMINAL_SLOTS + len(self._bdd_steps), n_points))
+        vals = np.empty((_TERMINAL_SLOTS + len(cols), n_points))
         vals[0] = 0.0
         vals[1] = 1.0
-        for slots, cols, lows, highs in self._bdd_layers:
-            p = PT[cols]
-            vals[slots] = (1.0 - p) * vals[lows] + p * vals[highs]
+        for i in range(len(cols)):
+            p = P[:, cols[i]]
+            vals[_TERMINAL_SLOTS + i] = (1.0 - p) * vals[lows[i]] + p * vals[highs[i]]
         return vals[root_slot].copy()
 
     def prob(self, probabilities: Mapping[str, float]) -> float:
@@ -247,29 +249,6 @@ class CompiledStructureFunction:
             f"CompiledStructureFunction(mode={mode!r}, kind={self.kind!r}, "
             f"n_components={len(self.names)})"
         )
-
-
-def _bdd_layers(
-    cols: np.ndarray, lows: np.ndarray, highs: np.ndarray
-) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """Group a flattened BDD program into layers of equal height.
-
-    A node's height is one more than its higher child's (terminals sit
-    at 0), so every node of a layer reads only slots of lower layers and
-    the whole layer evaluates as one gather-and-combine.  Each layer is
-    ``(slots, cols, lows, highs)``.
-    """
-    height = [0] * _TERMINAL_SLOTS
-    for low, high in zip(lows.tolist(), highs.tolist()):
-        height.append(1 + max(height[low], height[high]))
-    node_height = np.array(height[_TERMINAL_SLOTS:], dtype=np.int64)
-    layers = []
-    for h in range(1, int(node_height.max(initial=0)) + 1):
-        members = np.flatnonzero(node_height == h)
-        layers.append(
-            (members + _TERMINAL_SLOTS, cols[members], lows[members], highs[members])
-        )
-    return layers
 
 
 def _lower_block(block, col: Mapping[str, int]) -> tuple:

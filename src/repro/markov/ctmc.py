@@ -39,6 +39,7 @@ from ..core.model import DependabilityModel
 from ..exceptions import ModelDefinitionError, SolverError, StateSpaceError
 from ..obs.trace import get_tracer
 from .solvers import (
+    _UNIFORMIZATION_TOL,
     cumulative_uniformization,
     gth_solve,
     solve_transient,
@@ -252,7 +253,7 @@ class CTMC:
         times,
         initial,
         method: str = "uniformization",
-        tol: float = 1e-10,
+        tol: float = _UNIFORMIZATION_TOL,
         diagnostics: str = "ignore",
     ) -> "np.ndarray | Dict[State, float]":
         """State probabilities at one or many time points.
@@ -305,7 +306,9 @@ class CTMC:
     ) -> np.ndarray:
         return transient_ode(q, p0, ts, tol=tol)
 
-    def cumulative_transient(self, times, initial, tol: float = 1e-10) -> np.ndarray:
+    def cumulative_transient(
+        self, times, initial, tol: float = _UNIFORMIZATION_TOL
+    ) -> np.ndarray:
         """Expected total time spent in each state during ``[0, t]``.
 
         Returns an array of shape ``(len(times), n)`` (row sums = t).

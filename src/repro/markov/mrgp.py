@@ -41,7 +41,7 @@ from ..distributions import Deterministic, LifetimeDistribution
 from ..exceptions import ModelDefinitionError, SolverError, StateSpaceError
 from .ctmc import CTMC
 from .dtmc import DTMC
-from .solvers import _cumulative_uniformized, _transient_uniformized, _uniformized_transpose
+from .solvers import _uniformized_passes, _uniformized_transpose
 
 __all__ = ["GeneralTransition", "MarkovRegenerativeProcess"]
 
@@ -50,11 +50,6 @@ State = Hashable
 #: (subordinated chain, region states, exit states, quadrature points,
 #: sorted distinct times, uniformized (Pᵀ, Λ)) of one general transition
 _Subordinated = Tuple[CTMC, List[State], List[State], List[float], np.ndarray, tuple]
-
-#: ``CTMC.transient`` / ``cumulative_transient`` defaults, so the cycle
-#: solves reproduce the chain's own front doors bit for bit
-_TRANSIENT_TOL = 1e-10
-_TRANSIENT_MAX_TERMS = 100_000
 
 
 class GeneralTransition:
@@ -251,13 +246,10 @@ class MarkovRegenerativeProcess:
         weights = [1.0 / len(points)] * len(points)
 
         # The chain's own transient / cumulative_transient front doors,
-        # minus rebuilding the uniformized matrix per call; both passes
-        # combine one power sequence of the entry's initial vector.
-        vectors = [chain._initial_vector(entry)]
-        probs = _transient_uniformized(
-            chain.generator(), uniformized, vectors, times, _TRANSIENT_TOL, _TRANSIENT_MAX_TERMS
+        # minus rebuilding the uniformized matrix per call.
+        probs, cumulative = _uniformized_passes(
+            chain.generator(), uniformized, chain._initial_vector(entry), times
         )
-        cumulative = _cumulative_uniformized(uniformized, vectors, times, _TRANSIENT_TOL)
         time_index = {t: k for k, t in enumerate(times)}
 
         jumps: Dict[State, float] = {}

@@ -42,6 +42,8 @@ import numpy as np
 
 from ..exceptions import SolverError
 from .solvers import (
+    _UNIFORMIZATION_MAX_TERMS,
+    _UNIFORMIZATION_TOL,
     gth_solve,
     steady_state_direct,
     steady_state_power,
@@ -278,7 +280,9 @@ STEADY_STATE.register_method("bicgstab", _stage_bicgstab, accepts_x0=True)
 
 
 # ------------------------------------------------------------------ transient
-def _transient_uniformization(q, initial, times, tol=1e-10, max_terms=100_000):
+def _transient_uniformization(
+    q, initial, times, tol=_UNIFORMIZATION_TOL, max_terms=_UNIFORMIZATION_MAX_TERMS
+):
     return transient_uniformization(q, initial, times, tol=tol, max_terms=max_terms)
 
 

@@ -46,6 +46,12 @@ __all__ = [
     "cumulative_uniformization",
 ]
 
+#: Default truncation-error bound and overflow guard of the
+#: uniformization kernels and of the transient front doors built on them
+#: (``solve_transient``, ``CTMC.transient``, ``CTMC.cumulative_transient``).
+_UNIFORMIZATION_TOL = 1e-10
+_UNIFORMIZATION_MAX_TERMS = 100_000
+
 
 def validate_generator(generator, tol: float = 1e-8) -> int:
     """Check that a matrix is a CTMC generator; return its dimension.
@@ -365,8 +371,8 @@ def transient_uniformization(
     generator: sparse.spmatrix,
     initial: np.ndarray,
     times: np.ndarray,
-    tol: float = 1e-10,
-    max_terms: int = 100_000,
+    tol: float = _UNIFORMIZATION_TOL,
+    max_terms: int = _UNIFORMIZATION_MAX_TERMS,
 ) -> np.ndarray:
     """Transient state probabilities π(t) = π(0) e^{Qt} by uniformization.
 
@@ -425,6 +431,28 @@ def _power_sequence(pt: sparse.csr_matrix, vectors: List[np.ndarray], k_max: int
     for _ in range(len(vectors) - 1, k_max):
         vec = pt @ vec
         vectors.append(vec)
+
+
+def _uniformized_passes(
+    generator: sparse.spmatrix,
+    uniformized: Tuple[sparse.csr_matrix, float],
+    initial: np.ndarray,
+    times: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(π(t), L(t))`` from one initial vector on a prebuilt ``(Pᵀ, Λ)``.
+
+    Bit-identical to :func:`transient_uniformization` and
+    :func:`cumulative_uniformization` at their default tolerance and
+    term guard, for callers that solve one generator from several
+    initial vectors: the uniformized matrix is built once by the caller
+    and both passes combine one power sequence.  ``times`` is an already
+    validated float array.
+    """
+    vectors = [initial]
+    probs = _transient_uniformized(
+        generator, uniformized, vectors, times, _UNIFORMIZATION_TOL, _UNIFORMIZATION_MAX_TERMS
+    )
+    return probs, _cumulative_uniformized(uniformized, vectors, times, _UNIFORMIZATION_TOL)
 
 
 def _transient_uniformized(
@@ -494,8 +522,8 @@ def solve_transient(
     initial: np.ndarray,
     times: np.ndarray,
     method: str = "auto",
-    tol: float = 1e-10,
-    max_terms: int = 100_000,
+    tol: float = _UNIFORMIZATION_TOL,
+    max_terms: int = _UNIFORMIZATION_MAX_TERMS,
     diagnostics: str = "ignore",
 ) -> np.ndarray:
     """Unified front door for transient analysis π(t) = π(0) e^{Qt}.
@@ -551,7 +579,7 @@ def cumulative_uniformization(
     generator: sparse.spmatrix,
     initial: np.ndarray,
     times: np.ndarray,
-    tol: float = 1e-10,
+    tol: float = _UNIFORMIZATION_TOL,
 ) -> np.ndarray:
     """Integrated transient probabilities ``L(t) = ∫_0^t π(u) du``.
 

@@ -12,6 +12,7 @@ import pytest
 from repro.casestudies import boeing
 from repro.compile import compile_model
 from repro.compile.model import CompiledBoeingTree
+from repro.compile.structure import _VECTOR_MIN_POINTS
 from repro.exceptions import ModelDefinitionError
 
 
@@ -67,10 +68,12 @@ class TestDifferential:
         ]
 
     def test_vectorized_and_scalar_bdd_passes_agree(self):
-        # below 8 points a BDD program walks nodes in Python floats, from 8
-        # on it runs the per-layer vectorized pass; both must equal BDD.prob
+        # below _VECTOR_MIN_POINTS a BDD program walks nodes in Python
+        # floats, from there on it runs the per-node vectorized loop; both
+        # must equal BDD.prob
         rng = np.random.default_rng(3)
-        points = [{"event_probability": float(p)} for p in rng.uniform(0, 0.05, 20)]
+        n_points = _VECTOR_MIN_POINTS + 8
+        points = [{"event_probability": float(p)} for p in rng.uniform(0, 0.05, n_points)]
         compiled = compile_model("boeing")
         reference = [bits(boeing.evaluate_availability(p)) for p in points]
         assert [bits(v) for v in compiled.evaluate_many(points)] == reference
@@ -106,29 +109,43 @@ class TestKnobValidation:
 
 
 class TestStructureMemo:
+    @pytest.fixture(autouse=True)
+    def empty_memo(self):
+        boeing._STRUCTURE_CACHE.clear()
+        yield
+        boeing._STRUCTURE_CACHE.clear()
+
     def test_probability_only_points_share_one_structure(self):
         compiled = CompiledBoeingTree()
         compiled.evaluate_many(
             [{"event_probability": p} for p in np.linspace(1e-4, 1e-2, 12)]
             + [{"shared_probability": 1e-3}]
         )
-        assert list(compiled._structures) == [(8, 6, 4, 2016)]
+        assert list(boeing._STRUCTURE_CACHE) == [(8, 6, 4, 2016)]
 
     def test_memo_is_bounded(self):
         compiled = CompiledBoeingTree()
-        limit = CompiledBoeingTree.STRUCTURE_LIMIT
+        limit = boeing._STRUCTURE_CACHE_LIMIT
         for seed in range(limit + 3):
             compiled({"seed": seed, "n_sections": 2})
-        assert len(compiled._structures) == limit
+        assert len(boeing._STRUCTURE_CACHE) == limit
         # least recently used keys were evicted
-        assert (2, 6, 4, 0) not in compiled._structures
-        assert (2, 6, 4, limit + 2) in compiled._structures
+        assert (2, 6, 4, 0) not in boeing._STRUCTURE_CACHE
+        assert (2, 6, 4, limit + 2) in boeing._STRUCTURE_CACHE
 
-    def test_pickled_clone_starts_with_an_empty_memo(self):
+    def test_memo_hit_refreshes_recency(self):
         compiled = CompiledBoeingTree()
-        compiled({})
+        limit = boeing._STRUCTURE_CACHE_LIMIT
+        for seed in range(limit):
+            compiled({"seed": seed, "n_sections": 2})
+        compiled({"seed": 0, "n_sections": 2, "event_probability": 0.01})
+        compiled({"seed": limit, "n_sections": 2})
+        assert (2, 6, 4, 0) in boeing._STRUCTURE_CACHE
+        assert (2, 6, 4, 1) not in boeing._STRUCTURE_CACHE
+
+    def test_pickled_clone_evaluates_the_same(self):
+        compiled = CompiledBoeingTree()
         clone = pickle.loads(pickle.dumps(compiled))
-        assert not clone._structures
         assert bits(clone({})) == bits(compiled({}))
 
     def test_concurrent_evaluate_many_gives_the_same_bytes(self):
@@ -154,7 +171,7 @@ class TestStructureMemo:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert all(result == expected for result in results)
-        assert len(compiled._structures) <= CompiledBoeingTree.STRUCTURE_LIMIT
+        assert len(boeing._STRUCTURE_CACHE) <= boeing._STRUCTURE_CACHE_LIMIT
 
     def test_size_matches_the_registry_formula(self):
         size = compile_model("boeing").size()
