@@ -29,6 +29,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from ..exceptions import ModelDiagnosticError
+from ..markov.registry import POLICY
 
 __all__ = [
     "ERROR",
@@ -86,7 +87,7 @@ CODES: Dict[str, Tuple[str, str, str]] = {
     ),
     "M103": (
         WARNING,
-        "stiffness ratio max_rate/min_rate exceeds 1e8",
+        f"stiffness ratio max_rate/min_rate exceeds {POLICY.gth_first_stiffness:.1g}",
         "prefer the GTH solver (method='gth' or 'auto'); naive elimination and ODE integration"
         " lose precision at this spread",
     ),

@@ -24,23 +24,16 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import csgraph
 
+from ..markov.registry import POLICY
 from .diagnostics import ERROR, Diagnostic
 
 __all__ = [
-    "STIFFNESS_THRESHOLD",
     "generator_defects",
     "lint_generator",
     "lint_ctmc",
     "lint_dtmc",
     "lint_mrgp",
 ]
-
-#: Stiffness ratio above which M103 fires — the spread where naive
-#: elimination starts losing precision (failures per 1e5 h vs repairs
-#: per hour sits around 1e7–1e10).  Matches the ``stiffness_threshold``
-#: default of :func:`repro.markov.fallback.solve_steady_state`.
-STIFFNESS_THRESHOLD = 1e8
-
 
 def _state_label(states: Optional[Sequence], index: int) -> str:
     if states is not None and index < len(states):
@@ -49,7 +42,7 @@ def _state_label(states: Optional[Sequence], index: int) -> str:
 
 
 def generator_defects(
-    generator, tol: float = 1e-8
+    generator, tol: float = POLICY.generator_tol
 ) -> Tuple[int, List[Diagnostic]]:
     """Strict error scan of a CTMC generator; returns ``(n, defects)``.
 
@@ -128,9 +121,8 @@ def generator_defects(
 
 def lint_generator(
     generator,
-    tol: float = 1e-8,
+    tol: float = POLICY.generator_tol,
     query: Optional[str] = None,
-    stiffness_threshold: float = STIFFNESS_THRESHOLD,
     states: Optional[Sequence] = None,
 ) -> List[Diagnostic]:
     """Full lint of a CTMC generator: strict scan + structural warnings.
@@ -147,6 +139,11 @@ def lint_generator(
         chain is the textbook transient model).
     states:
         Optional state labels for location strings.
+
+    M103 (stiffness) fires at the ratio where the solver policy puts GTH
+    first, ``POLICY.gth_first_stiffness`` — the spread where naive
+    elimination starts losing precision (failures per 1e5 h vs repairs
+    per hour sits around 1e7–1e10).
     """
     n, diagnostics = generator_defects(generator, tol)
     if n <= 0 or any(d.code == "M004" for d in diagnostics):
@@ -216,13 +213,13 @@ def lint_generator(
                         f"steady-state probability",
                     )
                 )
-    if min_rate > 0.0 and max_rate / min_rate >= stiffness_threshold:
+    if min_rate > 0.0 and max_rate / min_rate >= POLICY.gth_first_stiffness:
         diagnostics.append(
             Diagnostic(
                 "M103",
                 f"stiffness ratio {max_rate / min_rate:.3g} (max rate "
                 f"{max_rate:.3g} / min rate {min_rate:.3g}) exceeds "
-                f"{stiffness_threshold:.1g}",
+                f"{POLICY.gth_first_stiffness:.1g}",
             )
         )
     return diagnostics

@@ -18,9 +18,9 @@ with one core shared by both compiled chains:
 * one bounded memo serves repeated points.
 
 :class:`CompiledCTMC` is the labelled front end for small chains: GTH
-runs on a dense matrix scattered from the filled ``data``, the
-sparse-direct and power methods and :meth:`~CompiledCTMC.transient` run
-on the CSR generator.  The large-state-space front end is
+runs on a dense matrix scattered from the filled ``data`` and
+:meth:`~CompiledCTMC.transient` runs on the CSR generator.  The
+large-state-space front end is
 :class:`~repro.compile.sparse.CompiledSparseCTMC`.
 
 Results are **bit-identical** to building the equivalent
@@ -46,8 +46,9 @@ import numpy as np
 from scipy import sparse
 
 from .._validation import check_rate, initial_vector
-from ..exceptions import ModelDefinitionError, SolverError
-from ..markov.solvers import gth_solve, solve_transient, steady_state_direct, steady_state_power
+from ..exceptions import ModelDefinitionError
+from ..markov.registry import check_gth_size
+from ..markov.solvers import gth_solve, solve_transient
 from ..obs.trace import get_tracer
 
 __all__ = [
@@ -438,38 +439,33 @@ class CompiledCTMC(_FrozenChain):
             raise ModelDefinitionError(f"unknown state: {state!r}") from None
 
     # ------------------------------------------------------------- solve
-    def steady_state(self, values: Mapping[str, float], method: str = "gth") -> np.ndarray:
+    def steady_state(self, values: Mapping[str, float]) -> np.ndarray:
         """Stationary vector at one parameter point (index order).
 
-        ``method="gth"`` (default) runs GTH elimination on a dense
-        matrix scattered from the filled ``data``; ``"direct"`` (sparse
-        LU) and ``"power"`` (power iteration on the uniformized chain)
-        run on the CSR generator.  All three skip re-validation (the
-        fill enforces the generator invariants by construction) and
-        return the same bits as the uncompiled ``CTMC.steady_state``.
+        Runs GTH elimination on a dense matrix scattered from the filled
+        ``data``, without re-validation (the fill enforces the generator
+        invariants by construction), and returns the same bits as the
+        uncompiled ``CTMC.steady_state``.  Chains above the policy's GTH
+        size row raise :class:`~repro.exceptions.SolverError` before
+        anything is densified.
         """
-        if method not in ("gth", "direct", "power"):
-            raise SolverError(f"unknown steady-state method {method!r}")
+        check_gth_size(self.n)
         data = self.fill(values)
         tracer = get_tracer()
         t0 = perf_counter()
-        if method == "gth":
-            dense = np.zeros((self.n, self.n))  # GTH is a dense kernel by design  # noqa: R007
-            dense[self._row_of, self._indices] = data
-            pi = gth_solve(dense, validated=True)
-        else:
-            kernel = steady_state_direct if method == "direct" else steady_state_power
-            pi = kernel(self._csr(data), validated=True)
+        dense = np.zeros((self.n, self.n))  # GTH is a dense kernel by design  # noqa: R007
+        dense[self._row_of, self._indices] = data
+        pi = gth_solve(dense, validated=True)
         if tracer.enabled:
             tracer.metrics.counter("compile.reuse", kind="ctmc").inc()
             tracer.metrics.counter("compile.solve_seconds").inc(perf_counter() - t0)
         return pi
 
-    def memoized(self, values: Mapping[str, float], method: str = "gth") -> bool:
+    def memoized(self, values: Mapping[str, float]) -> bool:
         """Whether :meth:`steady_state_cached` would be a memo hit."""
-        return (method,) + self._point_key(values) in self._memo
+        return self._point_key(values) in self._memo
 
-    def steady_state_cached(self, values: Mapping[str, float], method: str = "gth") -> np.ndarray:
+    def steady_state_cached(self, values: Mapping[str, float]) -> np.ndarray:
         """Memoized :meth:`steady_state` — treat the result as read-only.
 
         Sweeps usually vary a handful of parameters; every leaf chain
@@ -483,9 +479,7 @@ class CompiledCTMC(_FrozenChain):
         before mutating.
         """
         return self._memoized(
-            (method,) + self._point_key(values),
-            lambda: self.steady_state(values, method),
-            "ctmc-memo",
+            self._point_key(values), lambda: self.steady_state(values), "ctmc-memo"
         )
 
     # --------------------------------------------------------- transient

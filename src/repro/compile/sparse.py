@@ -51,13 +51,13 @@ from ..markov.fallback import (
     generator_diagnostics,
     solve_steady_state,
 )
-from ..markov.registry import consume_iterations
+from ..markov.registry import POLICY
 from ..obs.trace import get_tracer
-from ..sparse.ctmc import SparseCTMC
 from ..sparse.krylov import (
     ITERATIVE_METHODS,
     PRECONDITIONERS,
     augmented_system,
+    build_preconditioner,
     steady_state_iterative,
 )
 from .ctmc import _FrozenChain
@@ -123,10 +123,6 @@ class CompiledSparseCTMC(_FrozenChain, CompiledEvaluator):
         deterministic reference solution used to warm-start engine-path
         solves is computed here.
     """
-
-    #: Below this many states the standard dense/direct fallback chain
-    #: wins and warm starts are pointless.
-    ITERATIVE_LIMIT = SparseCTMC.ITERATIVE_LIMIT
 
     _PROCESS_LOCAL = _FrozenChain._PROCESS_LOCAL + ("_ref_pi", "_aug")
 
@@ -225,7 +221,7 @@ class CompiledSparseCTMC(_FrozenChain, CompiledEvaluator):
         if self._ref_pi is None:
             report = solve_steady_state(
                 self.generator(self._build_values),
-                iterative_limit=self.ITERATIVE_LIMIT,
+                iterative_limit=POLICY.iterative_states_reachability,
             )
             self._ref_pi = report.pi
         return self._ref_pi
@@ -238,16 +234,19 @@ class CompiledSparseCTMC(_FrozenChain, CompiledEvaluator):
         """Fill at ``values`` and solve through the standard front door.
 
         ``x0="reference"`` (default) warm-starts chains above
-        :attr:`ITERATIVE_LIMIT` from the :meth:`_reference` solution;
+        ``POLICY.iterative_states_reachability`` (below it the standard
+        dense/direct chain wins and warm starts are pointless) from the
+        :meth:`_reference` solution;
         ``x0=None`` forces a cold start; an explicit vector is forwarded
         as-is.  Below the limit the call is exactly what the uncompiled
         :meth:`repro.sparse.SparseCTMC.steady_state_report` runs on the
         same generator bytes, so small-chain results are bit-identical.
         """
+        limit = POLICY.iterative_states_reachability
         if isinstance(x0, str):
             if x0 != "reference":
                 raise SolverError(f"unknown x0 policy {x0!r}; use 'reference'")
-            x0 = self._reference() if self.n > self.ITERATIVE_LIMIT else None
+            x0 = self._reference() if self.n > limit else None
         q = self.generator(values)
         tracer = get_tracer()
         if tracer.enabled:
@@ -255,13 +254,9 @@ class CompiledSparseCTMC(_FrozenChain, CompiledEvaluator):
         start = perf_counter()
         diagnostics = self._frozen_diagnostics(q)
         if diagnostics is None:
-            return solve_steady_state(q, iterative_limit=self.ITERATIVE_LIMIT, x0=x0)
+            return solve_steady_state(q, iterative_limit=limit, x0=x0)
         return _walk_fallback_chain(
-            q,
-            diagnostics,
-            perf_counter() - start,
-            iterative_limit=self.ITERATIVE_LIMIT,
-            x0=x0,
+            q, diagnostics, perf_counter() - start, iterative_limit=limit, x0=x0
         )
 
     def _frozen_diagnostics(self, q: sparse.csr_matrix) -> Optional[GeneratorDiagnostics]:
@@ -285,8 +280,8 @@ class CompiledSparseCTMC(_FrozenChain, CompiledEvaluator):
             return None
         row_sums = np.asarray(q.sum(axis=1)).ravel()
         max_row_err = float(np.abs(row_sums).max())
-        # validate_generator's check, at its default tolerance
-        if not max_row_err <= 1e-8 * max(1.0, float(np.abs(data).max())):
+        # validate_generator's row-sum check
+        if not max_row_err <= POLICY.generator_tol * max(1.0, float(np.abs(data).max())):
             return None
         if self._n_strong is None:
             diagnostics = generator_diagnostics(q)
@@ -403,7 +398,7 @@ class CompiledSparseCTMC(_FrozenChain, CompiledEvaluator):
             else list(range(len(assignments)))
         )
         out = np.empty(len(assignments))
-        if self.n <= self.ITERATIVE_LIMIT:
+        if self.n <= POLICY.iterative_states_reachability:
             # Small chains: direct/GTH per point beats any warm start;
             # structure reuse is still the win (no re-BFS).
             for i in perm:
@@ -434,7 +429,7 @@ class CompiledSparseCTMC(_FrozenChain, CompiledEvaluator):
                     else:
                         m_op, jacobi_inv = self._jacobi(data)
                 elif not reuse:
-                    m_op = self._factor_ilu(a)
+                    m_op = build_preconditioner(a, "ilu")
                     best_iters = None
                 if reuse:
                     stats.precond_reuses += 1
@@ -444,7 +439,7 @@ class CompiledSparseCTMC(_FrozenChain, CompiledEvaluator):
                     event = "compile.precond.reuse" if reuse else "compile.precond.build"
                     tracer.metrics.counter(event, kind=preconditioner).inc()
             try:
-                pi = steady_state_iterative(
+                pi, iters = steady_state_iterative(
                     None,
                     method=method,
                     tol=tol,
@@ -453,13 +448,13 @@ class CompiledSparseCTMC(_FrozenChain, CompiledEvaluator):
                     x0=prev_pi,
                     system=(a, b),
                 )
-                iters = consume_iterations()
             except (ConvergenceError, SolverError):
                 # Robust fallback: re-validate and walk the full chain
                 # cold.  The warm path resumes at the next point.
                 stats.fallbacks += 1
                 report = solve_steady_state(
-                    self.generator(values), iterative_limit=self.ITERATIVE_LIMIT
+                    self.generator(values),
+                    iterative_limit=POLICY.iterative_states_reachability,
                 )
                 pi = report.pi
                 iters = report.iterations
@@ -481,7 +476,7 @@ class CompiledSparseCTMC(_FrozenChain, CompiledEvaluator):
                     refresh_factor * best_iters, float(min_refresh_iterations)
                 )
                 if iters > threshold:
-                    m_op = self._factor_ilu(a)
+                    m_op = build_preconditioner(a, "ilu")
                     best_iters = None
                     stats.precond_refactors += 1
                     if tracer.enabled:
@@ -489,15 +484,6 @@ class CompiledSparseCTMC(_FrozenChain, CompiledEvaluator):
                             "compile.precond.refactor", kind="ilu"
                         ).inc()
         return out
-
-    def _factor_ilu(self, a: sparse.csr_matrix) -> sparse_linalg.LinearOperator:
-        try:
-            ilu = sparse_linalg.spilu(a.tocsc(), drop_tol=1e-5, fill_factor=10.0)
-        except RuntimeError as exc:  # pragma: no cover - SuperLU failure path
-            raise SolverError(f"ILU preconditioner factorization failed: {exc}") from exc
-        return sparse_linalg.LinearOperator(
-            (self.n, self.n), matvec=ilu.solve, dtype=float
-        )
 
     def describe(self) -> Dict[str, object]:
         """Advertised metadata (adds the structure-reuse facts)."""

@@ -38,6 +38,7 @@ from .._validation import check_rate, initial_vector
 from ..core.model import DependabilityModel
 from ..exceptions import ModelDefinitionError, SolverError, StateSpaceError
 from ..obs.trace import get_tracer
+from .registry import STEADY_STATE, TRANSIENT, check_gth_size
 from .solvers import (
     _UNIFORMIZATION_TOL,
     cumulative_uniformization,
@@ -45,7 +46,6 @@ from .solvers import (
     solve_transient,
     steady_state_direct,
     steady_state_power,
-    transient_ode,
 )
 
 __all__ = ["CTMC", "MarkovDependabilityModel"]
@@ -176,9 +176,10 @@ class CTMC:
         Parameters
         ----------
         method:
-            ``"gth"`` (default, dense, stiffness-proof), ``"direct"``
-            (sparse LU), ``"power"`` (power iteration on the uniformized
-            chain), or ``"auto"`` — the diagnosed fallback chain of
+            ``"gth"`` (default, dense, stiffness-proof; refused above the
+            policy's GTH size row before anything is densified),
+            ``"direct"`` (sparse LU), ``"power"`` (power iteration on the
+            uniformized chain), or ``"auto"`` — the diagnosed fallback chain of
             :func:`~repro.markov.fallback.solve_steady_state` (use
             :meth:`steady_state_report` to also see which stage won and
             why).
@@ -200,14 +201,14 @@ class CTMC:
 
             pi = solve_steady_state(q, method="auto").pi
             return {state: float(pi[i]) for state, i in self._index.items()}
+        if method == "gth":
+            check_gth_size(self.n_states)
         kernels = {
             "gth": lambda: gth_solve(q.toarray()),
             "direct": lambda: steady_state_direct(q),
             "power": lambda: steady_state_power(q),
         }
         if method not in kernels:
-            from .registry import STEADY_STATE
-
             if method in STEADY_STATE:
                 # Registry backends (gmres, bicgstab, third-party) run
                 # through the guarded fallback front door as a
@@ -219,7 +220,7 @@ class CTMC:
             raise SolverError(f"unknown steady-state method {method!r}")
         tracer = get_tracer()
         with tracer.span(
-            "solver.steady_state", method=method, n_states=self.n_states
+            "solver.steady_state", method=method, route="method", n_states=self.n_states
         ):
             with tracer.span("solver.stage", method=method) as span:
                 pi = kernels[method]()
@@ -233,7 +234,7 @@ class CTMC:
         Runs :func:`~repro.markov.fallback.solve_steady_state` on the
         generator and returns its :class:`~repro.markov.fallback.SolverReport`
         (``report.pi`` follows :attr:`states` order; extra keyword
-        arguments — ``order``, ``residual_tol``, ``stages``, ... — are
+        arguments — ``order``, ``stages``, ``x0``, ... — are
         forwarded).
         """
         from .fallback import solve_steady_state
@@ -268,8 +269,9 @@ class CTMC:
             A state label or a mapping state → probability.
         method:
             ``"uniformization"`` (default, error-controlled), ``"ode"``
-            (``scipy.integrate.solve_ivp``, the E09 ablation), or
-            ``"auto"`` — delegate the choice to
+            (``scipy.integrate.solve_ivp``, the E09 ablation), ``"auto"``
+            or any other name registered in
+            :data:`~repro.markov.registry.TRANSIENT` — all solved by
             :func:`~repro.markov.solvers.solve_transient`.
         diagnostics:
             ``"ignore"`` (default), ``"warn"`` or ``"strict"`` — run the
@@ -285,26 +287,12 @@ class CTMC:
         scalar = np.isscalar(times)
         ts = np.atleast_1d(np.asarray(times, dtype=float))
         p0 = self._initial_vector(initial)
-        q = self.generator()
-        if method in ("auto", "uniformization"):
-            probs = solve_transient(q, p0, ts, method=method, tol=tol)
-        elif method == "ode":
-            probs = self._transient_ode(q, p0, ts, tol)
-        else:
-            from .registry import TRANSIENT
-
-            if method not in TRANSIENT:
-                raise SolverError(f"unknown transient method {method!r}")
-            probs = solve_transient(q, p0, ts, method=method, tol=tol)
+        if method != "auto" and method not in TRANSIENT:
+            raise SolverError(f"unknown transient method {method!r}")
+        probs = solve_transient(self.generator(), p0, ts, method=method, tol=tol)
         if scalar:
             return {state: float(probs[0, i]) for state, i in self._index.items()}
         return probs
-
-    @staticmethod
-    def _transient_ode(
-        q: sparse.spmatrix, p0: np.ndarray, ts: np.ndarray, tol: float
-    ) -> np.ndarray:
-        return transient_ode(q, p0, ts, tol=tol)
 
     def cumulative_transient(
         self, times, initial, tol: float = _UNIFORMIZATION_TOL

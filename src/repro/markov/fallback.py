@@ -24,9 +24,9 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import csgraph
 
-from ..exceptions import ModelDefinitionError, ReproError, SolverError
+from ..exceptions import ConvergenceError, ModelDefinitionError, ReproError, SolverError
 from ..obs.trace import get_tracer
-from .registry import STEADY_STATE, SolverMethod, consume_iterations
+from .registry import POLICY, STEADY_STATE, SolverMethod, StageResult
 from .solvers import validate_generator
 
 __all__ = [
@@ -126,9 +126,12 @@ class SolverAttempt:
         ``"ExceptionType: message"`` for a failed stage, ``None`` on
         success.
     iterations:
-        Krylov iterations the stage spent (``None`` for direct stages
-        and kernels that don't report a count) — the number the
-        preconditioner-refresh policy and tolerance tuning read.
+        Iterations the stage spent, as its kernel returned them in a
+        :class:`~repro.markov.registry.StageResult` or carried on the
+        :class:`~repro.exceptions.ConvergenceError` it raised (``None``
+        for direct stages and kernels that return a bare vector) — the
+        number the preconditioner-refresh policy and tolerance tuning
+        read.
     """
 
     method: str
@@ -151,6 +154,12 @@ class SolverReport:
         The strategy string the caller asked for.
     order:
         The stage order actually walked.
+    route:
+        The rule that chose ``order``: ``"order"`` (explicit order),
+        ``"method"`` (one named method), or the ``auto`` row of
+        :data:`~repro.markov.registry.POLICY` that applied —
+        ``"iterative"``, ``"gth-first:small"``, ``"gth-first:stiff"``
+        or ``"direct-first"``.
     attempts:
         One :class:`SolverAttempt` per stage tried, in order.
     diagnostics:
@@ -163,9 +172,11 @@ class SolverReport:
         order: Tuple[str, ...],
         diagnostics: GeneratorDiagnostics,
         validation_seconds: float = 0.0,
+        route: str = "order",
     ):
         self.strategy = strategy
         self.order = tuple(order)
+        self.route = route
         self.diagnostics = diagnostics
         self.attempts: List[SolverAttempt] = []
         self.pi: Optional[np.ndarray] = None
@@ -207,6 +218,7 @@ class SolverReport:
         return {
             "strategy": self.strategy,
             "order": list(self.order),
+            "route": self.route,
             "method": self.method,
             "ok": self.ok,
             "fallbacks_used": self.fallbacks_used,
@@ -248,10 +260,7 @@ def solve_steady_state(
     generator,
     method: str = "auto",
     order: Optional[Sequence[str]] = None,
-    residual_tol: float = 1e-8,
-    dense_limit: int = 2000,
-    stiffness_threshold: float = 1e8,
-    iterative_limit: int = 50_000,
+    iterative_limit: Optional[int] = None,
     stages: Optional[Mapping[str, Callable]] = None,
     diagnostics: str = "ignore",
     x0: Optional[np.ndarray] = None,
@@ -269,14 +278,14 @@ def solve_steady_state(
         solver runs.
     method:
         ``"auto"`` (default) walks a fallback chain ordered by the
-        diagnostics: GTH first for chains that are small
-        (``n <= dense_limit``) or stiff
-        (``stiffness_ratio >= stiffness_threshold``), sparse-direct
-        first for large well-conditioned chains, and preconditioned
-        Krylov iteration (``gmres`` → ``bicgstab`` → ``power``) above
-        ``iterative_limit`` states, where factorizations stop being
-        affordable.  Any single method name registered in
-        :data:`repro.markov.registry.STEADY_STATE` — the built-ins
+        diagnostics and the rows of :data:`~repro.markov.registry.POLICY`:
+        GTH first for chains that are small (``gth_first_states``) or
+        stiff (``gth_first_stiffness``), sparse-direct first for large
+        well-conditioned chains, and preconditioned Krylov iteration
+        (``gmres`` → ``bicgstab`` → ``power``) above ``iterative_limit``
+        states, where factorizations stop being affordable.  The row
+        that applied is ``report.route``.  Any single method name
+        registered in :data:`repro.markov.registry.STEADY_STATE` — the built-ins
         ``"gth"`` / ``"direct"`` / ``"power"`` / ``"gmres"`` /
         ``"bicgstab"`` or a third-party backend added with
         ``register_method`` — runs as a one-stage chain (guards still
@@ -285,13 +294,11 @@ def solve_steady_state(
     order:
         Explicit stage order overriding the heuristic (implies
         ``"auto"`` semantics).
-    residual_tol:
-        Guard between stages: a stage's vector is accepted only when it
-        is finite, non-negative and normalizable with relative residual
-        ``‖π Q‖∞ / max(1, max|Q|) <= residual_tol``; otherwise the next
-        stage runs.
-    dense_limit / stiffness_threshold / iterative_limit:
-        Knobs of the ``"auto"`` ordering heuristic.
+    iterative_limit:
+        State count above which ``"auto"`` goes iterative; ``None``
+        (default) reads ``POLICY.iterative_states`` (hand-built
+        generators), chains built by reachability pass
+        ``POLICY.iterative_states_reachability``.
     stages:
         Optional overrides ``{name: callable}`` for individual stages —
         the injection point used by the fault-injection harness
@@ -310,6 +317,10 @@ def solve_steady_state(
         so a chain stays correct when a warm-started iterative stage
         falls back to GTH.  Stage iteration counts land on
         ``SolverAttempt.iterations`` either way.
+
+    Every stage's vector must be finite, non-negative and normalizable
+    with relative residual ``‖π Q‖∞ / max(1, max|Q|)`` at or below
+    ``POLICY.stage_residual``; otherwise the next stage runs.
 
     Returns
     -------
@@ -342,9 +353,6 @@ def solve_steady_state(
         validation_seconds,
         method=method,
         order=order,
-        residual_tol=residual_tol,
-        dense_limit=dense_limit,
-        stiffness_threshold=stiffness_threshold,
         iterative_limit=iterative_limit,
         stages=stages,
         x0=x0,
@@ -357,10 +365,7 @@ def _walk_fallback_chain(
     validation_seconds: float,
     method: str = "auto",
     order: Optional[Sequence[str]] = None,
-    residual_tol: float = 1e-8,
-    dense_limit: int = 2000,
-    stiffness_threshold: float = 1e8,
-    iterative_limit: int = 50_000,
+    iterative_limit: Optional[int] = None,
     stages: Optional[Mapping[str, Callable]] = None,
     x0: Optional[np.ndarray] = None,
 ) -> SolverReport:
@@ -388,18 +393,13 @@ def _walk_fallback_chain(
         # whole stage including its pre-checks.
         known.update(stages)
     if order is not None:
+        route = "order"
         chain = tuple(STEADY_STATE.resolve(name) if name not in known else name
                       for name in order)
     elif method == "auto":
-        if diagnostics.n_states > iterative_limit:
-            chain = ("gmres", "bicgstab", "power")
-        elif (
-            diagnostics.n_states <= dense_limit
-            or diagnostics.stiffness_ratio >= stiffness_threshold
-        ):
-            chain = ("gth", "direct", "power")
-        else:
-            chain = ("direct", "power", "gth")
+        route, chain = POLICY.steady_state_route(
+            diagnostics.n_states, diagnostics.stiffness_ratio, iterative_limit
+        )
         # Methods whose supports-predicate rejects this chain drop out of
         # the auto ordering (an explicit method= still runs them).
         chain = tuple(
@@ -412,6 +412,7 @@ def _walk_fallback_chain(
             )
         )
     elif STEADY_STATE.resolve(method) in known:
+        route = "method"
         chain = (STEADY_STATE.resolve(method),)
     else:
         raise SolverError(
@@ -423,10 +424,11 @@ def _walk_fallback_chain(
         raise SolverError(f"unknown solver stage(s) {unknown}; known: {sorted(known)}")
 
     tracer = get_tracer()
-    report = SolverReport(method, chain, diagnostics, validation_seconds)
+    report = SolverReport(method, chain, diagnostics, validation_seconds, route)
     with tracer.span(
         "solver.steady_state",
         method=method,
+        route=route,
         n_states=diagnostics.n_states,
         stiffness_ratio=diagnostics.stiffness_ratio,
     ) as outer_span:
@@ -440,10 +442,13 @@ def _walk_fallback_chain(
                 and stage.accepts_x0
             ):
                 stage_kwargs["x0"] = x0
-            consume_iterations()  # clear any stale count from this thread
+            iterations = None
             with tracer.span("solver.stage", method=name) as span:
                 try:
-                    pi = np.asarray(stage(q, **stage_kwargs), dtype=float)
+                    pi = stage(q, **stage_kwargs)
+                    if isinstance(pi, StageResult):
+                        pi, iterations = pi
+                    pi = np.asarray(pi, dtype=float)
                     if pi.shape != (diagnostics.n_states,):
                         raise SolverError(
                             f"stage returned shape {pi.shape}, expected ({diagnostics.n_states},)"
@@ -459,10 +464,10 @@ def _walk_fallback_chain(
                         raise SolverError("stage produced a zero vector")
                     pi = np.maximum(pi, 0.0) / total
                     residual = _relative_residual(q, pi, diagnostics.max_rate)
-                    if residual > residual_tol:
+                    if residual > POLICY.stage_residual:
                         raise SolverError(
                             f"stage residual {residual:.3g} exceeds tolerance "
-                            f"{residual_tol:.3g}"
+                            f"{POLICY.stage_residual:.3g}"
                         )
                 except (
                     ReproError,
@@ -471,13 +476,15 @@ def _walk_fallback_chain(
                     ArithmeticError,
                     RuntimeError,
                 ) as exc:
+                    if isinstance(exc, ConvergenceError):
+                        iterations = exc.iterations
                     report.attempts.append(
                         SolverAttempt(
                             method=name,
                             success=False,
                             duration=time.perf_counter() - start,
                             error=f"{type(exc).__name__}: {exc}",
-                            iterations=consume_iterations(),
+                            iterations=iterations,
                         )
                     )
                     span.set(success=False, error=f"{type(exc).__name__}: {exc}")
@@ -489,7 +496,7 @@ def _walk_fallback_chain(
                         success=True,
                         duration=time.perf_counter() - start,
                         residual=residual,
-                        iterations=consume_iterations(),
+                        iterations=iterations,
                     )
                 )
                 span.set(success=True, residual=residual)

@@ -26,76 +26,126 @@ Third-party backends plug in with::
     registry.STEADY_STATE.register_method("mymethod", my_kernel)
     solve_steady_state(q, method="mymethod")
 
-Kernels receive the CSR generator (steady state: ``fn(q) -> π``;
-transient: ``fn(q, initial, times, tol=...) -> (T, n) array``) and run
-inside the front doors' guard/report machinery, so a registered method
+Kernels receive the CSR generator (steady state: ``fn(q) -> π``, or a
+:class:`StageResult` carrying the iteration count too; transient:
+``fn(q, initial, times, tol=...) -> (T, n) array``) and run inside the
+front doors' guard/report machinery, so a registered method
 automatically participates in fallback chains, ``SolverReport``
 attempts, tracing and ``diagnostics=`` pre-flights.
+
+:data:`POLICY` is the one table of route thresholds and tolerances:
+which stage order ``auto`` walks, where GTH refuses to densify, where
+transient solves switch to Krylov stepping, and the residual and
+generator tolerances every front door applies.
 """
 
 from __future__ import annotations
 
-import threading
-from typing import Any, Callable, Dict, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..exceptions import SolverError
-from .solvers import (
-    _UNIFORMIZATION_MAX_TERMS,
-    _UNIFORMIZATION_TOL,
-    gth_solve,
-    steady_state_direct,
-    steady_state_power,
-    transient_ode,
-    transient_uniformization,
-)
 
 __all__ = [
+    "SolverPolicy",
+    "POLICY",
+    "StageResult",
     "SolverMethod",
     "SolverRegistry",
     "STEADY_STATE",
     "TRANSIENT",
-    "GTH_DENSE_LIMIT",
-    "TRANSIENT_KRYLOV_LIMIT",
-    "record_iterations",
-    "consume_iterations",
+    "check_gth_size",
 ]
 
 PreCheck = Callable[..., None]
 Supports = Callable[[Any], bool]
 
-#: GTH materializes a dense n×n copy; above this many states the dense
-#: buffer alone exceeds ~3 GiB and the O(n³) elimination is hopeless, so
-#: the registry pre-check fails the stage over to sparse methods.
-GTH_DENSE_LIMIT = 20_000
 
-#: ``solve_transient(method="auto")`` switches from uniformization
-#: (which stores one vector per Poisson term) to Krylov ``expm_multiply``
-#: stepping above this many states.
-TRANSIENT_KRYLOV_LIMIT = 50_000
+@dataclass
+class SolverPolicy:
+    """The one table of solver route thresholds and tolerances.
 
-#: Thread-local side channel carrying the last kernel's iteration count
-#: out to the front door (kernel signatures return only π, and SolverReport
-#: assembly happens a frame above the kernel call).
-_ITERATIONS = threading.local()
-
-
-def record_iterations(count: Optional[int]) -> None:
-    """Publish an iterative kernel's iteration count for this thread.
-
-    Called by the Krylov kernels at the end of a solve; the front door
-    picks it up with :func:`consume_iterations` and attaches it to the
-    stage's :class:`~repro.markov.fallback.SolverAttempt`.
+    Every size threshold that picks a steady-state or transient route,
+    and every tolerance the front doors apply, is a row here; the
+    solvers read :data:`POLICY` and define none of their own.  Routes
+    and guards read it per call; the ``tol=`` keyword defaults of
+    ``validate_generator`` and the lint scans bind ``generator_tol``
+    when their modules load.
     """
-    _ITERATIONS.value = None if count is None else int(count)
+
+    #: ``auto`` puts GTH first at or below this many states ...
+    gth_first_states: int = 2_000
+    #: ... or at a stiffness ratio ``max_rate / min_rate`` at or above
+    #: this; lint code M103 warns from the same row.
+    gth_first_stiffness: float = 1e8
+    #: ``auto`` puts the Krylov stages first above this many states for
+    #: a hand-built generator ...
+    iterative_states: int = 50_000
+    #: ... and above this many for a chain built by reachability
+    #: (``SparseCTMC``, ``CompiledSparseCTMC``), where sparse-LU fill-in
+    #: explodes.  The compiled chain also warm-starts and runs ``sweep``'s
+    #: Krylov branch above it.
+    iterative_states_reachability: int = 5_000
+    #: GTH densifies an n×n copy; every GTH path refuses above this.
+    gth_max_states: int = 20_000
+    #: ``solve_transient(method="auto")`` steps by Krylov
+    #: ``expm_multiply`` above this many states, else uniformizes.
+    transient_krylov_states: int = 50_000
+    #: A stage's vector is accepted only with relative residual
+    #: ``‖π Q‖∞ / max(1, max|Q|)`` at or below this.
+    stage_residual: float = 1e-8
+    #: Generator row sums (and negative off-diagonals) are accepted
+    #: within this tolerance scaled by the largest absolute rate.
+    generator_tol: float = 1e-8
+
+    def steady_state_route(
+        self, n_states: int, stiffness_ratio: float, iterative_limit: Optional[int] = None
+    ) -> Tuple[str, Tuple[str, ...]]:
+        """``(route, stage order)`` of an ``auto`` steady-state solve.
+
+        ``iterative_limit`` defaults to :attr:`iterative_states`.
+        """
+        if iterative_limit is None:
+            iterative_limit = self.iterative_states
+        if n_states > iterative_limit:
+            return "iterative", ("gmres", "bicgstab", "power")
+        if n_states <= self.gth_first_states:
+            return "gth-first:small", ("gth", "direct", "power")
+        if stiffness_ratio >= self.gth_first_stiffness:
+            return "gth-first:stiff", ("gth", "direct", "power")
+        return "direct-first", ("direct", "power", "gth")
 
 
-def consume_iterations() -> Optional[int]:
-    """Read and clear this thread's recorded iteration count."""
-    value = getattr(_ITERATIONS, "value", None)
-    _ITERATIONS.value = None
-    return value
+#: The table the front doors read.
+POLICY = SolverPolicy()
+
+
+def check_gth_size(n: int) -> None:
+    """Refuse to densify a chain above :attr:`SolverPolicy.gth_max_states`."""
+    if n > POLICY.gth_max_states:
+        raise SolverError(
+            f"GTH would materialize a dense {n}×{n} matrix "
+            f"({8 * n * n / 1e9:.1f} GB); use 'direct', 'gmres' or 'power' "
+            f"above {POLICY.gth_max_states} states"
+        )
+
+
+class StageResult(NamedTuple):
+    """A steady-state kernel's vector with the iterations it spent.
+
+    Iterative kernels return one; a stage that returns a bare vector
+    reports ``iterations=None``.
+    """
+
+    pi: np.ndarray
+    iterations: Optional[int]
+
+
+# Imported below the table, as a module: ``solvers`` binds its defaults
+# from :data:`POLICY` while it loads, so either module may load first.
+from . import solvers  # noqa: E402
 
 
 class SolverMethod:
@@ -230,38 +280,26 @@ class SolverRegistry:
 
 
 # --------------------------------------------------------------- steady state
-def _check_gth_size(q, *args, **kwargs) -> None:
-    n = q.shape[0]
-    if n > GTH_DENSE_LIMIT:
-        raise SolverError(
-            f"GTH would materialize a dense {n}×{n} matrix "
-            f"({8 * n * n / 1e9:.1f} GB); use 'direct', 'gmres' or 'power' "
-            f"above {GTH_DENSE_LIMIT} states"
-        )
-
-
 def _stage_gth(q) -> np.ndarray:
-    return gth_solve(q.toarray(), validated=True)
+    return solvers.gth_solve(q.toarray(), validated=True)
 
 
 def _stage_direct(q) -> np.ndarray:
-    return steady_state_direct(q, validated=True)
+    return solvers.steady_state_direct(q, validated=True)
 
 
 def _stage_power(q) -> np.ndarray:
-    return steady_state_power(q, validated=True)
+    return solvers.steady_state_power(q, validated=True)
 
 
-def _stage_gmres(q, x0=None) -> np.ndarray:
-    from ..sparse.krylov import steady_state_gmres
+def _krylov_stage(method: str) -> Callable:
+    def stage(q, x0=None) -> StageResult:
+        # Through the module attribute: tracing wraps it by name.
+        from ..sparse import krylov
 
-    return steady_state_gmres(q, validated=True, x0=x0)
+        return krylov.steady_state_iterative(q, method=method, validated=True, x0=x0)
 
-
-def _stage_bicgstab(q, x0=None) -> np.ndarray:
-    from ..sparse.krylov import steady_state_bicgstab
-
-    return steady_state_bicgstab(q, validated=True, x0=x0)
+    return stage
 
 
 #: The steady-state method registry behind
@@ -270,24 +308,22 @@ STEADY_STATE = SolverRegistry("steady-state")
 STEADY_STATE.register_method(
     "gth",
     _stage_gth,
-    pre_checks=(_check_gth_size,),
-    supports=lambda diag: diag.n_states <= GTH_DENSE_LIMIT,
+    pre_checks=(lambda q, *args, **kwargs: check_gth_size(q.shape[0]),),
+    supports=lambda diag: diag.n_states <= POLICY.gth_max_states,
 )
 STEADY_STATE.register_method("direct", _stage_direct)
 STEADY_STATE.register_method("power", _stage_power)
-STEADY_STATE.register_method("gmres", _stage_gmres, accepts_x0=True)
-STEADY_STATE.register_method("bicgstab", _stage_bicgstab, accepts_x0=True)
+STEADY_STATE.register_method("gmres", _krylov_stage("gmres"), accepts_x0=True)
+STEADY_STATE.register_method("bicgstab", _krylov_stage("bicgstab"), accepts_x0=True)
 
 
 # ------------------------------------------------------------------ transient
-def _transient_uniformization(
-    q, initial, times, tol=_UNIFORMIZATION_TOL, max_terms=_UNIFORMIZATION_MAX_TERMS
-):
-    return transient_uniformization(q, initial, times, tol=tol, max_terms=max_terms)
+def _transient_uniformization(q, initial, times, **kwargs):
+    return solvers.transient_uniformization(q, initial, times, **kwargs)
 
 
 def _transient_ode(q, initial, times, tol=1e-10, **_ignored):
-    return transient_ode(q, initial, times, tol=tol)
+    return solvers.transient_ode(q, initial, times, tol=tol)
 
 
 def _transient_krylov(q, initial, times, tol=1e-10, **_ignored):

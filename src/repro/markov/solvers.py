@@ -32,6 +32,7 @@ from scipy.sparse import linalg as sparse_linalg
 
 from ..exceptions import ConvergenceError, ModelDefinitionError, SolverError
 from ..obs.trace import get_tracer
+from .registry import POLICY
 
 __all__ = [
     "validate_generator",
@@ -53,7 +54,7 @@ _UNIFORMIZATION_TOL = 1e-10
 _UNIFORMIZATION_MAX_TERMS = 100_000
 
 
-def validate_generator(generator, tol: float = 1e-8) -> int:
+def validate_generator(generator, tol: float = POLICY.generator_tol) -> int:
     """Check that a matrix is a CTMC generator; return its dimension.
 
     Shared pre-flight for every steady-state solver: ``generator`` must
@@ -535,9 +536,10 @@ def solve_transient(
     Parameters
     ----------
     method:
-        ``"auto"`` (default) — uniformization for chains up to 50 000
-        states (with its built-in Krylov/ODE escape hatch for huge
-        ``Λt``), Krylov ``expm_multiply`` stepping above; or any name
+        ``"auto"`` (default) — uniformization for chains up to
+        ``POLICY.transient_krylov_states`` (50 000) states (with its
+        built-in Krylov/ODE escape hatch for huge ``Λt``), Krylov
+        ``expm_multiply`` stepping above; or any name
         registered in :data:`repro.markov.registry.TRANSIENT` —
         ``"uniformization"``, ``"ode"``, ``"krylov"`` (alias
         ``"expm_multiply"``) or a third-party backend added with
@@ -560,11 +562,11 @@ def solve_transient(
         run_diagnostics(
             generator, diagnostics, query="transient", where="solve_transient"
         )
-    from .registry import TRANSIENT, TRANSIENT_KRYLOV_LIMIT
+    from .registry import TRANSIENT
 
     if method == "auto":
         n = generator.shape[0]
-        method = "krylov" if n > TRANSIENT_KRYLOV_LIMIT else "uniformization"
+        method = "krylov" if n > POLICY.transient_krylov_states else "uniformization"
     try:
         kernel = TRANSIENT.get(method)
     except SolverError:

@@ -23,13 +23,7 @@ See ``docs/SCALING.md`` for thresholds, knobs and sizing guidance.
 from __future__ import annotations
 
 from .ctmc import SparseCTMC
-from .krylov import (
-    augmented_system,
-    steady_state_bicgstab,
-    steady_state_gmres,
-    steady_state_iterative,
-    transient_krylov,
-)
+from .krylov import augmented_system, steady_state_iterative, transient_krylov
 from .reachability import SparseReachabilityResult, build_sparse_reachability
 
 __all__ = [
@@ -38,7 +32,5 @@ __all__ = [
     "build_sparse_reachability",
     "augmented_system",
     "steady_state_iterative",
-    "steady_state_gmres",
-    "steady_state_bicgstab",
     "transient_krylov",
 ]

@@ -78,14 +78,6 @@ class SparseCTMC:
     #: process-pool hint: ship once per worker, not once per task
     __ship_once__ = True
 
-    #: default ``iterative_limit`` passed to the steady-state fallback
-    #: chain.  Lazily-generated chains are exactly the ones where sparse
-    #: LU fill-in explodes (product-form structure, wide bandwidth), so
-    #: the iterative band starts above 5 000 states here instead of the
-    #: dense-model default of 50 000.  Pass ``iterative_limit=`` to
-    #: :meth:`steady_state` to override per call.
-    ITERATIVE_LIMIT = 5_000
-
     def __init__(
         self,
         generator: sparse.spmatrix,
@@ -200,10 +192,16 @@ class SparseCTMC:
     def steady_state_report(
         self, method: str = "auto", diagnostics: str = "ignore", **kwargs: Any
     ):
-        """Full :class:`SolverReport` of the fallback-chain solve (``.pi`` holds π)."""
-        from ..markov.fallback import solve_steady_state
+        """Full :class:`SolverReport` of the fallback-chain solve (``.pi`` holds π).
 
-        kwargs.setdefault("iterative_limit", self.ITERATIVE_LIMIT)
+        ``iterative_limit`` defaults to the policy's reachability row,
+        ``POLICY.iterative_states_reachability``: lazily-generated chains
+        are exactly the ones where sparse-LU fill-in explodes.
+        """
+        from ..markov.fallback import solve_steady_state
+        from ..markov.registry import POLICY
+
+        kwargs.setdefault("iterative_limit", POLICY.iterative_states_reachability)
         return solve_steady_state(
             self._q, method=method, diagnostics=diagnostics, **kwargs
         )

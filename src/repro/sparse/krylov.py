@@ -33,15 +33,13 @@ from scipy import sparse
 from scipy.sparse import linalg as sparse_linalg
 
 from ..exceptions import ConvergenceError, SolverError
-from ..markov.registry import record_iterations
+from ..markov.registry import StageResult
 from ..obs.trace import get_tracer
 
 __all__ = [
     "augmented_system",
     "build_preconditioner",
     "steady_state_iterative",
-    "steady_state_gmres",
-    "steady_state_bicgstab",
     "transient_krylov",
 ]
 
@@ -118,7 +116,7 @@ def steady_state_iterative(
     validated: bool = False,
     x0: Optional[np.ndarray] = None,
     system: Optional[Tuple[sparse.csr_matrix, np.ndarray]] = None,
-) -> np.ndarray:
+) -> StageResult:
     """Steady state by a preconditioned Krylov solve of ``A x = e_n``.
 
     Parameters
@@ -150,15 +148,17 @@ def steady_state_iterative(
         kernels that maintain ``A`` in place pass it to skip the
         per-call :func:`augmented_system` transpose.
 
-    The number of Krylov iterations spent is published through
-    :func:`repro.markov.registry.record_iterations` (picked up into
-    :class:`~repro.markov.fallback.SolverAttempt` by the front door) and,
-    for warm-started solves, observed on the ``krylov.warm_iterations``
-    histogram.
+    For warm-started solves the iteration count is also observed on
+    the ``krylov.warm_iterations`` histogram.
 
     Returns
     -------
-    The stationary probability vector (clipped non-negative, normalized).
+    A :class:`~repro.markov.registry.StageResult` ``(pi, iterations)``:
+    the stationary probability vector (clipped non-negative,
+    normalized) and the Krylov iterations spent — the front door copies
+    the count onto :class:`~repro.markov.fallback.SolverAttempt`.  A
+    solve that exhausts its budget raises
+    :class:`~repro.exceptions.ConvergenceError` carrying the count.
     """
     if method not in ITERATIVE_METHODS:
         raise SolverError(f"unknown iterative method {method!r}; use 'gmres' or 'bicgstab'")
@@ -172,7 +172,7 @@ def steady_state_iterative(
         a, b = augmented_system(generator)
     n = a.shape[0]
     if n == 1:
-        return np.ones(1)
+        return StageResult(np.ones(1), 0)
     if isinstance(preconditioner, str):
         m = build_preconditioner(a, preconditioner)
         precond_label = preconditioner
@@ -209,7 +209,6 @@ def steady_state_iterative(
                 x0=x0, callback=_count,
             )
         span.set(info=int(info), iterations=iterations)
-    record_iterations(iterations)
     if tracer.enabled and x0 is not None:
         tracer.metrics.histogram("krylov.warm_iterations").observe(float(iterations))
     if info < 0:  # pragma: no cover - scipy breakdown path
@@ -217,7 +216,7 @@ def steady_state_iterative(
     if info > 0:
         raise ConvergenceError(
             f"{method} did not reach tol={tol} within the iteration budget",
-            iterations=int(info),
+            iterations=iterations,
             residual=float(np.linalg.norm(a @ x - b)),
         )
     if not np.all(np.isfinite(x)):
@@ -226,19 +225,7 @@ def steady_state_iterative(
     total = pi.sum()
     if total <= 0.0:
         raise SolverError(f"{method} produced a zero vector")
-    return pi / total
-
-
-def steady_state_gmres(generator, validated: bool = False, **kwargs) -> np.ndarray:
-    """GMRES spelling of :func:`steady_state_iterative`."""
-    return steady_state_iterative(generator, method="gmres", validated=validated, **kwargs)
-
-
-def steady_state_bicgstab(generator, validated: bool = False, **kwargs) -> np.ndarray:
-    """BiCGSTAB spelling of :func:`steady_state_iterative`."""
-    return steady_state_iterative(
-        generator, method="bicgstab", validated=validated, **kwargs
-    )
+    return StageResult(pi / total, iterations)
 
 
 def transient_krylov(

@@ -21,6 +21,7 @@ from repro.compile import (
 )
 from repro.compile.ctmc import Param
 from repro.exceptions import ModelDefinitionError, SolverError
+from repro.markov.registry import POLICY
 from repro.obs import Tracer, activate_tracer
 from repro.petrinet import StochasticRewardNet
 from repro.petrinet.templates import (
@@ -209,21 +210,23 @@ class TestSweep:
             ({"preconditioner": "bogus"}, SolverError, "unknown preconditioner"),
         ],
     )
-    def test_sweep_validates_arguments_before_filling(self, krylov, kwargs, error, match):
+    def test_sweep_validates_arguments_before_filling(
+        self, krylov, kwargs, error, match, monkeypatch
+    ):
         result, values = _build(_repairman_case)
         compiled = result.compiled
         if krylov:
-            compiled.ITERATIVE_LIMIT = 0
+            monkeypatch.setattr(POLICY, "iterative_states_reachability", 0)
         fills = []
         compiled.fill = lambda point: fills.append(point)
         with pytest.raises(error, match=match):
             compiled.sweep([values], **kwargs)
         assert fills == []
 
-    def test_sweep_krylov_branch_reached_with_zero_limit(self):
+    def test_sweep_krylov_branch_reached_with_zero_limit(self, monkeypatch):
         result, values = _build(_repairman_case)
         compiled = result.compiled
-        compiled.ITERATIVE_LIMIT = 0
+        monkeypatch.setattr(POLICY, "iterative_states_reachability", 0)
         swept = compiled.sweep([values, dict(values, failure_rate=0.02)])
         assert compiled.last_sweep_stats.fills == 2
         assert compiled.last_sweep_stats.fallbacks == 0

@@ -17,6 +17,7 @@ from repro.compile import CompiledCTMC, CompiledSparseCTMC
 from repro.compile.ctmc import Param
 from repro.exceptions import ModelDefinitionError
 from repro.markov.fallback import generator_diagnostics, solve_steady_state
+from repro.markov.registry import POLICY
 
 from .test_generated_chains import SEEDS, generate
 
@@ -49,13 +50,20 @@ def sparse_twin(compiled: CompiledCTMC, multipliers=None) -> CompiledSparseCTMC:
     )
 
 
+def full_solve(chain: CompiledSparseCTMC, values):
+    """The uncompiled front door on the same generator bytes."""
+    return solve_steady_state(
+        chain.generator(values), iterative_limit=POLICY.iterative_states_reachability
+    )
+
+
 def assert_matches_full_preflight(chain: CompiledSparseCTMC, values) -> None:
     # twice: the first point counts the components, later ones reuse it
     for _ in range(2):
         q = chain.generator(values)
         assert chain._frozen_diagnostics(q) == generator_diagnostics(q)
     report = chain.steady_state_report(values, x0=None)
-    full = solve_steady_state(chain.generator(values), iterative_limit=chain.ITERATIVE_LIMIT)
+    full = full_solve(chain, values)
     assert report.diagnostics == full.diagnostics
     assert report.pi.tobytes() == full.pi.tobytes()
     assert report.method == full.method
@@ -92,7 +100,7 @@ def test_underflowed_rate_takes_the_full_preflight():
     assert 0.0 in q.data
     assert chain._frozen_diagnostics(q) is None
     report = chain.steady_state_report(values, x0=None)
-    full = solve_steady_state(chain.generator(values), iterative_limit=chain.ITERATIVE_LIMIT)
+    full = full_solve(chain, values)
     assert report.diagnostics == full.diagnostics
     assert report.diagnostics.nnz == 3
     assert report.pi.tobytes() == full.pi.tobytes()
@@ -105,7 +113,7 @@ def test_zero_rate_point_raises_as_before():
     chain = sparse_twin(pair, [1.0, 1e-30])
     values = {"a": 1.0, "b": 1e-300}
     with pytest.raises(ModelDefinitionError) as before:
-        solve_steady_state(chain.generator(values), iterative_limit=chain.ITERATIVE_LIMIT)
+        full_solve(chain, values)
     with pytest.raises(ModelDefinitionError) as after:
         chain.steady_state_report(values)
     assert str(after.value) == str(before.value)
@@ -119,7 +127,7 @@ def test_non_finite_point_raises_as_before():
     values = {"failure_rate": 5e307, "repair_rate": 0.5}
     assert not np.all(np.isfinite(chain.generator(values).data))
     with pytest.raises(ModelDefinitionError) as before:
-        solve_steady_state(chain.generator(values), iterative_limit=chain.ITERATIVE_LIMIT)
+        full_solve(chain, values)
     with pytest.raises(ModelDefinitionError) as after:
         chain.steady_state_report(values)
     assert str(after.value) == str(before.value)

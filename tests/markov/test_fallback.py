@@ -16,6 +16,7 @@ from repro.markov import (
     transient_uniformization,
     validate_generator,
 )
+from repro.markov.registry import POLICY
 from repro.markov.solvers import poisson_truncation_point
 from repro.robust import FailingCallable
 
@@ -127,9 +128,10 @@ class TestSolveSteadyState:
         assert report.ok
         assert np.isclose(report.pi.sum(), 1.0)
 
-    def test_large_well_conditioned_chain_prefers_direct(self):
+    def test_large_well_conditioned_chain_prefers_direct(self, monkeypatch):
         q = birth_death(50)
-        report = solve_steady_state(q, dense_limit=10)
+        monkeypatch.setattr(POLICY, "gth_first_states", 10)
+        report = solve_steady_state(q)
         assert report.order[0] == "direct"
         assert report.method == "direct"
         expected = solve_steady_state(q, method="gth").pi

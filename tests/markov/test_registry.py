@@ -7,7 +7,7 @@ from scipy import sparse
 from repro.exceptions import SolverError
 from repro.markov.fallback import solve_steady_state
 from repro.markov.registry import (
-    GTH_DENSE_LIMIT,
+    POLICY,
     STEADY_STATE,
     TRANSIENT,
     SolverMethod,
@@ -100,7 +100,7 @@ class TestBuiltinRegistries:
         assert TRANSIENT.resolve("expm_multiply") == "krylov"
 
     def test_gth_pre_check_refuses_dense_blowup(self):
-        n = GTH_DENSE_LIMIT + 1
+        n = POLICY.gth_max_states + 1
         huge = sparse.identity(n, format="csr") * 0.0
         with pytest.raises(SolverError, match="dense"):
             STEADY_STATE.get("gth")(huge)
@@ -109,7 +109,7 @@ class TestBuiltinRegistries:
         method = STEADY_STATE.get("gth")
 
         class Diag:
-            n_states = GTH_DENSE_LIMIT + 1
+            n_states = POLICY.gth_max_states + 1
 
         assert method.supports is not None
         assert not method.supports(Diag())

@@ -11,13 +11,16 @@ from repro.markov.solvers import (
     gth_solve,
     transient_uniformization,
 )
-from repro.sparse import (
-    augmented_system,
-    steady_state_bicgstab,
-    steady_state_gmres,
-    steady_state_iterative,
-    transient_krylov,
-)
+from repro.markov.registry import POLICY
+from repro.sparse import augmented_system, steady_state_iterative, transient_krylov
+
+AGREEMENT_CASES = [
+    ("gmres", "jacobi"),
+    ("gmres", "ilu"),
+    ("gmres", "none"),
+    ("bicgstab", "jacobi"),
+    ("bicgstab", "ilu"),
+]
 
 
 def birth_death(n=50, lam=0.4, mu=1.0):
@@ -50,27 +53,23 @@ class TestAugmentedSystem:
 
 class TestIterativeSteadyState:
     @pytest.mark.parametrize(
-        "backend,preconditioner",
-        [
-            (steady_state_gmres, "jacobi"),
-            (steady_state_gmres, "ilu"),
-            (steady_state_gmres, "none"),
-            (steady_state_bicgstab, "jacobi"),
-            (steady_state_bicgstab, "ilu"),
-        ],
+        "method,preconditioner",
+        AGREEMENT_CASES,
+        ids=[f"steady_state_{m}-{p}" for m, p in AGREEMENT_CASES],
     )
-    def test_agrees_with_gth(self, backend, preconditioner):
+    def test_agrees_with_gth(self, method, preconditioner):
         q = birth_death(80)
         exact = gth_solve(q.toarray())
-        pi = backend(q, preconditioner=preconditioner)
+        pi, iterations = steady_state_iterative(q, method=method, preconditioner=preconditioner)
         np.testing.assert_allclose(pi, exact, atol=1e-8)
+        assert iterations > 0
 
     def test_unpreconditioned_bicgstab_breakdown_is_solver_error(self):
         # why "jacobi" is the default: bare BiCGSTAB can break down on
         # the augmented system, and the breakdown must surface as a
         # stage-failing SolverError (not a silent wrong vector)
         with pytest.raises(SolverError, match="broke down"):
-            steady_state_bicgstab(birth_death(80), preconditioner="none")
+            steady_state_iterative(birth_death(80), method="bicgstab", preconditioner="none")
 
     def test_unknown_method_rejected(self):
         with pytest.raises(SolverError, match="method"):
@@ -95,9 +94,10 @@ class TestIterativeSteadyState:
             assert report.method == method
             np.testing.assert_allclose(report.pi, exact, atol=1e-8)
 
-    def test_auto_selects_iterative_above_limit(self):
+    def test_auto_selects_iterative_above_limit(self, monkeypatch):
         q = birth_death(30)
-        report = solve_steady_state(q, iterative_limit=20)
+        monkeypatch.setattr(POLICY, "iterative_states", 20)
+        report = solve_steady_state(q)
         assert report.method == "gmres"  # the winning stage
         assert report.attempts[0].method == "gmres"
 
