@@ -12,6 +12,11 @@ iterative row, so warm starts and ``sweep`` run their Krylov branch),
 the generated chains of the compiled-vs-uncompiled differential test
 (every steady-state and transient method) and the nine case studies
 at their defaults and two perturbed points.
+
+A generated chain is pinned part by part (``generated/<seed>/steady/
+<method>``, ``.../report``, ``.../compiled``, ``.../cached``,
+``.../transient/<method>``, ``.../compiled_transient``), so a change to
+one kernel re-pins only the digests its computation passes through.
 """
 
 import hashlib
@@ -86,24 +91,25 @@ def nfv_items(spec):
     return items
 
 
-def generated_item(seed):
+def generated_items(seed):
+    """One item per part, so a change to one method re-pins only its own."""
     labels, transitions, values = generate(seed)
     chain = uncompiled(labels, transitions, values)
     compiled = CompiledCTMC(labels, transitions)
-    steady = {
-        m: canonical(list(chain.steady_state(method=m).values())) for m in STEADY_METHODS
+    tag = f"generated/{seed}"
+    items = {
+        f"{tag}/steady/{m}": canonical(list(chain.steady_state(method=m).values()))
+        for m in STEADY_METHODS
     }
-    transient = {
-        m: canonical(chain.transient(TIMES, labels[0], method=m)) for m in TRANSIENT_METHODS
-    }
-    return {
-        "steady": steady,
-        "report": report_item(chain.steady_state_report()),
-        "compiled": canonical(compiled.steady_state(values)),
-        "cached": canonical(compiled.steady_state_cached(values)),
-        "transient": transient,
-        "compiled_transient": canonical(compiled.transient(values, TIMES, labels[0])),
-    }
+    items[f"{tag}/report"] = report_item(chain.steady_state_report())
+    items[f"{tag}/compiled"] = canonical(compiled.steady_state(values))
+    items[f"{tag}/cached"] = canonical(compiled.steady_state_cached(values))
+    for m in TRANSIENT_METHODS:
+        items[f"{tag}/transient/{m}"] = canonical(chain.transient(TIMES, labels[0], method=m))
+    items[f"{tag}/compiled_transient"] = canonical(
+        compiled.transient(values, TIMES, labels[0])
+    )
+    return items
 
 
 def perturbed_points(defaults):
@@ -140,7 +146,7 @@ def all_items():
     for spec in NFV_ZOO + [LARGE_NFV]:
         items.update(nfv_items(spec))
     for seed in SEEDS:
-        items[f"generated/{seed}"] = generated_item(seed)
+        items.update(generated_items(seed))
     registry = default_registry(diagnostics="ignore", probe=False)
     for name in registry.names():
         items[f"casestudy/{name}"] = casestudy_item(registry.get(name))
@@ -157,7 +163,8 @@ def test_nfv_zoo_bits_unchanged(spec):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_generated_chain_bits_unchanged(seed):
-    assert digest(generated_item(seed)) == GOLDEN[f"generated/{seed}"]
+    got = {name: digest(item) for name, item in generated_items(seed).items()}
+    assert got == {name: GOLDEN[name] for name in got}
 
 
 def test_case_study_bits_unchanged():
@@ -173,7 +180,10 @@ def test_single_method_report_bits_unchanged(method):
 
 
 def test_golden_file_covers_every_item():
-    expected = {f"generated/{seed}" for seed in SEEDS} | {
+    parts = [f"steady/{m}" for m in STEADY_METHODS]
+    parts += ["report", "compiled", "cached", "compiled_transient"]
+    parts += [f"transient/{m}" for m in TRANSIENT_METHODS]
+    expected = {f"generated/{seed}/{part}" for seed in SEEDS for part in parts} | {
         f"birth-death/{m}" for m in STEADY_METHODS
     }
     assert expected <= set(GOLDEN)
