@@ -41,7 +41,6 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse import linalg as sparse_linalg
 
 from ..exceptions import ConvergenceError, ModelDefinitionError, SolverError
 from ..markov.fallback import (
@@ -56,6 +55,7 @@ from ..obs.trace import get_tracer
 from ..sparse.krylov import (
     ITERATIVE_METHODS,
     PRECONDITIONERS,
+    JacobiOperator,
     augmented_system,
     build_preconditioner,
     steady_state_iterative,
@@ -203,9 +203,7 @@ class CompiledSparseCTMC(_FrozenChain, CompiledEvaluator):
         inv[self.n - 1] = 1.0
         if not fresh:
             return None
-        return sparse_linalg.LinearOperator(
-            (self.n, self.n), matvec=lambda x, _inv=inv: _inv * x, dtype=float
-        ), inv
+        return JacobiOperator(inv), inv
 
     # ------------------------------------------------------------- solve
     def _reference(self) -> np.ndarray:

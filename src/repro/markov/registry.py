@@ -99,6 +99,11 @@ class SolverPolicy:
     #: Generator row sums (and negative off-diagonals) are accepted
     #: within this tolerance scaled by the largest absolute rate.
     generator_tol: float = 1e-8
+    #: A full GMRES restart cycle that cuts the true residual
+    #: ``‖b − A x‖`` by less than this fraction ends the solve as
+    #: stagnated, so the ``auto`` chain moves on instead of running out
+    #: the budget.
+    gmres_min_cycle_reduction: float = 0.01
 
     def steady_state_route(
         self, n_states: int, stiffness_ratio: float, iterative_limit: Optional[int] = None
@@ -326,10 +331,10 @@ def _transient_ode(q, initial, times, tol=1e-10, **_ignored):
     return solvers.transient_ode(q, initial, times, tol=tol)
 
 
-def _transient_krylov(q, initial, times, tol=1e-10, **_ignored):
+def _transient_krylov(q, initial, times, **_ignored):
     from ..sparse.krylov import transient_krylov
 
-    return transient_krylov(q, initial, times, tol=tol)
+    return transient_krylov(q, initial, times)
 
 
 #: The transient method registry behind

@@ -362,7 +362,7 @@ def _uniformization_overflow_fallback(
         from ..sparse.krylov import transient_krylov
 
         with tracer.span("solver.transient", fallback="krylov", **attrs):
-            return transient_krylov(generator, initial, times, tol=tol)
+            return transient_krylov(generator, initial, times)
     except SolverError:
         with tracer.span("solver.transient", fallback="ode", **attrs):
             return transient_ode(generator, initial, times, tol)
@@ -546,8 +546,8 @@ def solve_transient(
         ``register_method``.
     tol:
         Truncation-error bound (uniformization) or integration tolerance
-        (ODE); advisory for Krylov stepping, which controls its own
-        error to near machine precision.
+        (ODE).  The Krylov route ignores it: its error is
+        ``expm_multiply``'s own, near machine precision.
     diagnostics:
         ``"ignore"`` (default), ``"warn"`` or ``"strict"`` — run the
         :mod:`repro.analyze` lint pass (transient query) before solving.

@@ -343,6 +343,70 @@ class TestR009PoolHome:
         ) == []
 
 
+class TestR010ScipyGmres:
+    """R010 keeps one GMRES kernel: none reached through scipy.sparse.linalg."""
+
+    def lint_at(self, tmp_path, relpath, source):
+        path = tmp_path / relpath
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(textwrap.dedent(source))
+        return lint_repro.lint_file(path)
+
+    def test_flags_a_call_through_a_module_alias(self, tmp_path):
+        findings = self.lint_at(
+            tmp_path,
+            "src/repro/compile/fast.py",
+            """
+            from scipy.sparse import linalg as sparse_linalg
+            x, info = sparse_linalg.gmres(a, b)
+            """,
+        )
+        assert codes(findings) == ["R010"]
+        assert "_gmres" in findings[0][3]
+
+    def test_flags_from_import_dotted_path_and_import_alias(self, tmp_path):
+        findings = self.lint_at(
+            tmp_path,
+            "src/repro/markov/other.py",
+            """
+            import scipy.sparse.linalg
+            import scipy.sparse.linalg as spla
+            from scipy.sparse.linalg import gmres
+            solve = scipy.sparse.linalg.gmres
+            x, info = spla.gmres(a, b)
+            """,
+        )
+        assert codes(findings) == ["R010"] * 3
+
+    def test_other_scipy_solvers_and_code_outside_the_package_pass(self, tmp_path):
+        assert self.lint_at(
+            tmp_path,
+            "src/repro/sparse/krylov.py",
+            """
+            from scipy.sparse import linalg as sparse_linalg
+            x, info = sparse_linalg.bicgstab(a, b)
+            x, iterations, outcome = _gmres(a, b, None, None, 1e-12, 100, 20000)
+            """,
+        ) == []
+        assert self.lint_at(
+            tmp_path,
+            "tests/sparse/test_reference.py",
+            """
+            from scipy.sparse import linalg as sparse_linalg
+            x, info = sparse_linalg.gmres(a, b)
+            """,
+        ) == []
+
+    def test_noqa_waives(self, tmp_path):
+        assert self.lint_at(
+            tmp_path,
+            "src/repro/sparse/compare.py",
+            """
+            from scipy.sparse.linalg import gmres  # noqa: R010
+            """,
+        ) == []
+
+
 class TestR007SparseDensification:
     """R007 is path-sensitive: it polices the sparse and compiled-CSR code only."""
 

@@ -68,6 +68,14 @@ absent).  Rules:
     initializer (ship-once evaluators, the orphan watchdog) live there;
     a pool built anywhere else silently skips both.
 
+``R010 scipy-gmres``
+    Under ``src/repro`` no ``gmres`` is reached through
+    ``scipy.sparse.linalg`` (``from scipy.sparse.linalg import gmres``,
+    ``<alias>.gmres`` on a name bound to the module, or the dotted
+    ``scipy.sparse.linalg.gmres``).  The repository has one GMRES
+    kernel, ``_gmres`` in ``sparse/krylov.py``; a second path would
+    skip its stagnation exit and its BLAS-1 plumbing.
+
 Usage::
 
     python tools/lint_repro.py [paths...]
@@ -324,6 +332,45 @@ def check_pool_home(tree: ast.AST, path: str) -> List[Finding]:
             and any(alias.name in _POOL_CLASSES for alias in node.names)
         ):
             findings.append((path, node.lineno, "R009", message))
+    return findings
+
+
+_SCIPY_LINALG = "scipy.sparse.linalg"
+
+
+def check_scipy_gmres(tree: ast.AST, path: str) -> List[Finding]:
+    """R010: no ``gmres`` reached through ``scipy.sparse.linalg``.
+
+    Checks files under ``src/repro``.  Names bound to the module
+    (``import scipy.sparse.linalg as spla``, ``from scipy.sparse import
+    linalg``) are collected first; then ``<name>.gmres``, the dotted
+    ``scipy.sparse.linalg.gmres`` and ``from scipy.sparse.linalg[...]
+    import gmres`` are flagged.
+    """
+    if "src/repro/" not in path.replace("\\", "/"):
+        return []
+    message = (
+        "gmres reached through scipy.sparse.linalg; call "
+        "repro.sparse.krylov.steady_state_iterative, whose _gmres is the "
+        "repository's one GMRES kernel"
+    )
+    aliases = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            aliases.update(a.asname for a in node.names if a.name == _SCIPY_LINALG and a.asname)
+        elif isinstance(node, ast.ImportFrom) and node.module == "scipy.sparse":
+            aliases.update(a.asname or a.name for a in node.names if a.name == "linalg")
+    findings = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith(_SCIPY_LINALG):
+            if any(a.name == "gmres" for a in node.names):
+                findings.append((path, node.lineno, "R010", message))
+        elif isinstance(node, ast.Attribute) and node.attr == "gmres":
+            owner = node.value
+            if (isinstance(owner, ast.Name) and owner.id in aliases) or (
+                ast.unparse(owner) == _SCIPY_LINALG
+            ):
+                findings.append((path, node.lineno, "R010", message))
     return findings
 
 
@@ -687,6 +734,7 @@ def lint_file(py_path: Path) -> List[Finding]:
     findings += check_serve_error_records(tree, path)
     findings += check_store_sqlite(tree, path)
     findings += check_pool_home(tree, path)
+    findings += check_scipy_gmres(tree, path)
     findings += check_sparse_densification(tree, path)
     findings += check_lock_discipline(tree, path)
     lines = source.splitlines()
