@@ -28,11 +28,21 @@ An executor is also a context manager: inside ``with executor:`` the
 pool backends keep one worker pool alive across ``run`` calls, so a
 chunked campaign forks its workers (and ships a ``__ship_once__``
 evaluator into them) once instead of once per chunk.  Outside a
-``with`` each ``run`` holds its pool for that one batch.
+``with`` each ``run`` of an instance holds its pool for that one batch.
+
+A *named* pool backend (``"process"``, ``"thread"``, or ``None`` with
+``n_jobs > 1``) resolves to one executor per ``(backend, n_jobs)`` per
+process, which the library itself holds open: every campaign, batch and
+serve flush that names a backend reuses its warm workers and the
+evaluator already shipped into them.  The hold is released at
+interpreter exit (joining the workers), and a forked child starts with
+no shared executors of its own.  A different ship-once evaluator still
+replaces the pool, so alternating evaluators fork once per switch.
 """
 
 from __future__ import annotations
 
+import atexit
 import concurrent.futures
 import itertools
 import math
@@ -304,7 +314,9 @@ class Executor:
     calls :meth:`run` once per chunk forks its workers once.  Holding
     is reference-counted (nested ``with`` blocks and concurrent runs
     share the pool), and an instance can be reused across batches
-    safely either way.
+    safely either way.  The executors :func:`resolve_executor` returns
+    for a backend *name* are held by the library itself, so their
+    workers stay warm from one call to the next until the process exits.
     """
 
     name = "abstract"
@@ -644,8 +656,9 @@ class ProcessExecutor(_PoolExecutor):
         initializer's arguments; submitted chunks carry only a
         :class:`_ShippedEvaluator` key.  Values are unchanged — the
         worker calls the identical unpickled instance it would otherwise
-        receive per chunk.  Runs once per pool, so once per campaign
-        when the executor is held across its chunks.
+        receive per chunk.  Runs once per pool: once per process for a
+        named backend that keeps seeing the same evaluator, and again
+        each time a different one replaces the pool.
         """
         if not self._ships(evaluate):
             return None, evaluate
@@ -658,20 +671,68 @@ class ProcessExecutor(_PoolExecutor):
         return (key, pickle.dumps(evaluate)), _ShippedEvaluator(key, evaluate)
 
 
+#: the library's warm executors, one per named pool backend and worker count
+_SHARED: Dict[Tuple[type, int], _PoolExecutor] = {}
+_SHARED_LOCK = threading.Lock()
+#: a forked child's copy of its parent's shared executors: kept referenced,
+#: never used, so collecting them cannot signal the parent's pool threads
+_INHERITED: List[_PoolExecutor] = []
+
+
+def _shared(cls: type, n_jobs: int) -> _PoolExecutor:
+    """The process-wide executor of a named pool backend, held open by
+    the library (one ``__enter__``) from first use until exit."""
+    with _SHARED_LOCK:
+        executor = _SHARED.get((cls, n_jobs))
+        if executor is None:
+            executor = _SHARED[(cls, n_jobs)] = cls(n_jobs).__enter__()
+        return executor
+
+
+def _release_shared() -> None:
+    """Drop the library's hold on every shared executor, joining its
+    workers once no caller holds it; the next named call starts afresh."""
+    with _SHARED_LOCK:
+        held = list(_SHARED.values())
+        _SHARED.clear()
+    for executor in held:
+        executor.__exit__(None, None, None)
+
+
+def _forget_shared_in_child() -> None:
+    """After ``fork``: the parent's pools are not the child's to submit to
+    or join, and the registry lock may have been copied mid-acquire."""
+    global _SHARED_LOCK
+    _INHERITED.extend(_SHARED.values())
+    _SHARED.clear()
+    _SHARED_LOCK = threading.Lock()
+
+
+atexit.register(_release_shared)
+os.register_at_fork(after_in_child=_forget_shared_in_child)
+
+
 def resolve_executor(n_jobs: int = 1, executor=None) -> Executor:
     """Normalize user intent into an :class:`Executor` instance.
 
-    ``executor`` may be an instance (returned as-is), one of the names
-    ``"serial"`` / ``"thread"`` / ``"process"``, or ``None`` — in which
-    case ``n_jobs`` decides: 1 is serial, more is a process pool (the
-    backend that actually speeds up the library's pure-Python solvers).
+    ``executor`` may be an instance (returned as-is, its pool lifetime
+    the caller's), one of the names ``"serial"`` / ``"thread"`` /
+    ``"process"``, or ``None`` — in which case ``n_jobs`` decides: 1 is
+    serial, more is a process pool (the backend that actually speeds up
+    the library's pure-Python solvers).
+
+    A named pool backend resolves to the one executor this process keeps
+    per ``(backend, n_jobs)``.  The library holds it open until
+    interpreter exit, so successive calls reuse warm workers and an
+    already shipped ``__ship_once__`` evaluator; a forked child gets its
+    own.
     """
     if isinstance(executor, Executor):
         return executor
     if executor is None:
         if n_jobs < 1:
             raise ModelDefinitionError(f"n_jobs must be >= 1, got {n_jobs}")
-        return SerialExecutor() if n_jobs == 1 else ProcessExecutor(n_jobs)
+        return SerialExecutor() if n_jobs == 1 else _shared(ProcessExecutor, int(n_jobs))
     names = {"serial": SerialExecutor, "thread": ThreadExecutor, "process": ProcessExecutor}
     try:
         cls = names[executor]
@@ -684,7 +745,7 @@ def resolve_executor(n_jobs: int = 1, executor=None) -> Executor:
         raise ModelDefinitionError(f"n_jobs must be >= 1, got {n_jobs}")
     # The requested worker count is respected exactly — a named pool
     # backend with n_jobs=1 is a one-worker pool, not a silent upgrade.
-    return cls() if cls is SerialExecutor else cls(n_jobs)
+    return cls() if cls is SerialExecutor else _shared(cls, int(n_jobs))
 
 
 def parallel_starmap(

@@ -73,7 +73,9 @@ class MicroBatcher:
     executor / n_jobs:
         Forwarded to :func:`~repro.engine.evaluate_batch` per flush.
         The default (serial) keeps served values bit-identical to
-        direct evaluation.
+        direct evaluation.  A named pool backend is the process's one
+        warm executor for it, so flushes reuse its workers rather than
+        forking a pool each.
     metrics:
         A metrics registry (ideally a
         :class:`~repro.obs.ThreadSafeMetricsRegistry`) receiving the

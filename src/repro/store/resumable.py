@@ -100,8 +100,10 @@ class ResumableCampaign:
         evaluation (policy, compile, inner ``n_jobs``...).  The
         campaign's own checkpointing replaces ``cache``/``progress``.
         The executor is resolved once per :meth:`run` and held open
-        across its chunks, so a process pool forks its workers once per
-        campaign, not once per chunk.
+        across its chunks.  A named backend resolves to the process's
+        one warm executor for it, so workers are forked once per
+        process, not per campaign or chunk; an executor instance keeps
+        its pool for as long as its caller holds it.
     retry_failures:
         Reopen chunks containing stored failures on start (default).
 
@@ -225,8 +227,9 @@ class ResumableCampaign:
             if tracer.enabled
             else nullcontext()
         )
-        # One executor for the whole drain loop: held open, a pool
-        # backend forks its workers once per campaign, not per chunk.
+        # One executor for the whole drain loop, held open across its
+        # chunks; a named backend's workers are already warm from earlier
+        # campaigns in this process.
         executor = resolve_executor(self.options.n_jobs, self.options.executor)
         options = self.options.replace(
             executor=executor, cache=None, progress=None, tracer=None

@@ -22,3 +22,18 @@ if str(_SRC) not in sys.path:
 def rng():
     """A deterministic random generator per test."""
     return np.random.default_rng(20160628)
+
+
+@pytest.fixture(autouse=True)
+def _no_shared_pools():
+    """Each test starts and ends without library-held worker pools.
+
+    Named pool backends keep warm workers for the life of the process;
+    releasing them around every test keeps worker counts, fork counts
+    and shipped-evaluator counters about the test at hand.
+    """
+    from repro.engine.executors import _release_shared
+
+    _release_shared()
+    yield
+    _release_shared()

@@ -22,7 +22,7 @@ from repro.engine import (
     resolve_executor,
     spawn_generators,
 )
-from repro.engine.executors import default_chunk_size, parallel_starmap
+from repro.engine.executors import _release_shared, default_chunk_size, parallel_starmap
 from repro.exceptions import ModelDefinitionError, SolverError
 from repro.robust import FaultPolicy
 
@@ -144,6 +144,96 @@ class TestResolve:
             resolve_executor(executor="gpu")
         with pytest.raises(ModelDefinitionError):
             resolve_executor(n_jobs=0)
+
+
+class TestSharedExecutors:
+    """A named pool backend is one warm executor per process."""
+
+    PIDS = [{"x": float(k)} for k in range(16)]
+
+    def named_pids(self, policy=None, evaluate=worker_pid):
+        result = evaluate_batch(
+            evaluate, self.PIDS, executor="process", n_jobs=2, chunk_size=1, policy=policy
+        )
+        return {int(pid) for pid in result.outputs.tolist()}
+
+    def workers(self):
+        """Pids of the shared two-worker process pool."""
+        return set(resolve_executor(n_jobs=2, executor="process")._pool._processes)
+
+    def test_one_executor_per_backend_and_worker_count(self):
+        process = resolve_executor(n_jobs=2, executor="process")
+        assert resolve_executor(n_jobs=2) is process
+        assert resolve_executor(n_jobs=2, executor="process") is process
+        assert resolve_executor(n_jobs=3, executor="process") is not process
+        assert resolve_executor(n_jobs=2, executor="thread") is not process
+        assert resolve_executor(executor="serial") is not resolve_executor(executor="serial")
+
+    def test_named_batches_reuse_warm_workers_until_released(self):
+        first = self.named_pids()
+        workers = self.workers()
+        assert len(workers) == 2 and os.getpid() not in workers
+        assert first <= workers and all(_alive(pid) for pid in workers)
+        assert self.named_pids() <= workers
+        _release_shared()
+        assert not any(_alive(pid) for pid in workers)
+        assert not self.named_pids() & workers
+
+    def test_broken_shared_pool_is_replaced(self):
+        from repro.robust import FaultInjector
+
+        self.named_pids()
+        before = self.workers()
+        crashing = FaultInjector(quadratic, mode="crash", rate=1.0, fail_attempts=1)
+        result = evaluate_batch(
+            crashing,
+            ASSIGNMENTS,
+            executor="process",
+            n_jobs=2,
+            policy=FaultPolicy(on_error="retry", max_retries=1),
+        )
+        assert list(result.outputs) == EXPECTED
+        after = self.named_pids()
+        assert after and os.getpid() not in after
+        assert not before & after
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_resolves_its_own_executor(self):
+        parent = resolve_executor(n_jobs=2, executor="process")
+        self.named_pids()
+        parent_pids = self.workers()
+        read, write = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # the child: never return into the test runner
+            verdict = b"error"
+            try:
+                signal.alarm(60)  # a hung child ends, and the parent reads b""
+                os.close(read)
+                mine = resolve_executor(n_jobs=2, executor="process")
+                if mine is parent:  # submitting would wait on the parent's pool forever
+                    verdict = b"inherited"
+                    raise SystemExit
+                values = evaluate_batch(quadratic, ASSIGNMENTS, executor="process", n_jobs=2)
+                pids = self.named_pids()
+                good = (
+                    list(values.outputs) == EXPECTED
+                    and bool(pids)
+                    and not pids & parent_pids
+                    and os.getpid() not in pids
+                )
+                _release_shared()
+                verdict = b"ok" if good else b"wrong"
+            finally:
+                os.write(write, verdict)
+                os._exit(0)
+        os.close(write)
+        with os.fdopen(read, "rb") as handle:
+            verdict = handle.read()
+        os.waitpid(pid, 0)
+        assert verdict == b"ok"
+        # the child neither used nor shut down the parent's pool
+        assert resolve_executor(n_jobs=2, executor="process") is parent
+        assert self.named_pids() <= parent_pids
 
 
 class TestPicklingGuard:

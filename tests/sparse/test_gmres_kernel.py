@@ -39,7 +39,8 @@ TOL = 1e-12
 #: the sparse-sweep benchmark's chain: 8^5 = 32 768 states
 SWEEP_NFV = NFVChainSpec(n_vnfs=5, replicas=7, min_replicas=1)
 #: GMRES stagnates on this 10 000-state chain: the true residual stays
-#: at ~4.6e-4 cycle after cycle
+#: at ~4.6e-4 cycle after cycle; BiCGSTAB claims convergence at a true
+#: residual of ~2.3e-2
 STAGNATING_NFV = NFVChainSpec(n_vnfs=2, replicas=99, min_replicas=10, repair_crews=3)
 #: sha256 prefix of the power stage's π on STAGNATING_NFV, computed
 #: before the stagnation exit existed
@@ -224,9 +225,10 @@ class TestStagnation:
     def test_gmres_stops_early_and_the_chain_moves_on(self, report):
         _, rep = report
         assert [a.method for a in rep.attempts] == ["gmres", "bicgstab", "power"]
-        gmres = rep.attempts[0]
+        gmres, bicgstab = rep.attempts[:2]
         assert not gmres.success and "stagnated" in gmres.error
         assert gmres.iterations <= 1_000
+        assert not bicgstab.success and "true residual" in bicgstab.error
         assert rep.method == "power"
 
     def test_power_vector_and_availability_unchanged(self, report):
@@ -241,3 +243,13 @@ class TestStagnation:
         with pytest.raises(ConvergenceError, match="stagnated") as err:
             steady_state_iterative(q)
         assert 0 < err.value.iterations <= 1_000
+
+    def test_bicgstab_false_convergence_raises(self, report):
+        # scipy's bicgstab reports info == 0 here while ||b - A x|| is ~2e-2:
+        # its recursively updated residual drifted from the true one
+        chain, _ = report
+        q = chain.generator(chain._build_values)
+        with pytest.raises(ConvergenceError, match="true residual") as err:
+            steady_state_iterative(q, method="bicgstab")
+        assert err.value.iterations > 0
+        assert err.value.residual > TOL

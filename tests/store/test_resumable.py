@@ -1,16 +1,21 @@
 """ResumableCampaign, resume_campaign, run_campaign(store=...), StoreBackedCache."""
 
-import multiprocessing
 import os
+import subprocess
+import sys
+import textwrap
+import threading
 
 import numpy as np
 import pytest
 
+import repro
 from repro.engine import (
     EngineOptions,
     GridCampaign,
     PointsCampaign,
     ProcessExecutor,
+    resolve_executor,
     run_campaign,
 )
 from repro.exceptions import ModelDefinitionError
@@ -22,6 +27,7 @@ from repro.store import (
     campaign_id_for,
     resume_campaign,
 )
+from tests.engine.test_executors import _alive
 
 
 def square(p):
@@ -43,6 +49,19 @@ class PidLog:
         with open(self.path, "a") as handle:
             handle.write(f"{p['x']!r} {os.getpid()}\n")
         return square(p)
+
+
+class ShipOnceOffset:
+    """A stored ``__ship_once__`` evaluator: installed by the pool initializer."""
+
+    __ship_once__ = True
+
+    def __init__(self, offset):
+        self.offset = offset
+        self.__store_name__ = f"offset{offset}"
+
+    def __call__(self, p):
+        return p["x"] + self.offset
 
 
 POINTS = [{"x": float(x)} for x in range(10)]
@@ -238,18 +257,30 @@ class TestRunCampaignRouting:
 
 
 class TestCampaignPool:
-    """A stored campaign forks its workers once, not once per chunk."""
+    """Named campaigns share one warm pool per process; a caller's
+    executor instance keeps its own."""
 
-    def test_one_pool_per_campaign(self, store):
+    def test_one_pool_per_campaign(self, store, monkeypatch):
         points = [{"x": float(x)} for x in range(150)]  # 6 chunks of 25
-        result = run_campaign(
+        first = run_campaign(
             worker_pid, PointsCampaign(points), store=store, executor="process", n_jobs=2
         )
         (campaign_id,) = store.campaign_ids()
         assert len(store.chunk_states(campaign_id)) == 6
-        pids = set(result.outputs.tolist())
-        assert len(pids) <= 2 and float(os.getpid()) not in pids
-        assert multiprocessing.active_children() == []
+        workers = {float(pid) for pid in resolve_executor(2, "process")._pool._processes}
+        assert len(workers) == 2 and float(os.getpid()) not in workers
+        assert set(first.outputs.tolist()) <= workers
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a second named campaign forked a pool")
+
+        monkeypatch.setattr(ProcessExecutor, "_make_pool", no_pool)
+        more = [{"x": float(x)} for x in range(150, 300)]
+        second = run_campaign(
+            worker_pid, PointsCampaign(more), store=store, executor="process", n_jobs=2
+        )
+        # the second campaign ran in the same, still warm, workers
+        assert set(second.outputs.tolist()) <= workers
 
     def test_resume_leg_never_forks(self, store, monkeypatch):
         spec = PointsCampaign(POINTS)
@@ -304,11 +335,86 @@ class TestCampaignPool:
             a = run_campaign(worker_pid, first, store=str(tmp_path / "a.sqlite"), executor=executor)
             b = run_campaign(worker_pid, second, store=str(tmp_path / "b.sqlite"), executor=executor)
             # both campaigns ran in the caller's two workers
-            assert len(set(a.outputs.tolist()) | set(b.outputs.tolist())) <= 2
+            pids = {int(pid) for pid in set(a.outputs.tolist()) | set(b.outputs.tolist())}
+            assert len(pids) <= 2 and os.getpid() not in pids
             values, _, _ = executor.run(square, POINTS)
             assert values == [square(p) for p in POINTS]
-            assert multiprocessing.active_children()
-        assert multiprocessing.active_children() == []
+            assert all(_alive(pid) for pid in pids)
+        # the caller's instance keeps today's lifetime: its workers end with its `with`
+        assert not any(_alive(pid) for pid in pids)
+
+    def test_process_that_ran_a_named_campaign_exits_without_workers(self, tmp_path):
+        script = tmp_path / "named.py"
+        script.write_text(
+            textwrap.dedent(
+                """
+                import atexit, os, sys
+
+                WORKERS = []
+
+                def report():
+                    alive = [pid for pid in WORKERS if os.path.exists(f"/proc/{pid}")]
+                    print("alive at exit:", alive, flush=True)
+
+                # registered before the library's exit hook, so it runs after it
+                atexit.register(report)
+
+                from repro.engine import PointsCampaign, run_campaign
+
+                def worker_pid(point):
+                    return float(os.getpid())
+
+                points = [{"x": float(k)} for k in range(60)]
+                result = run_campaign(
+                    worker_pid, PointsCampaign(points), store=sys.argv[1],
+                    executor="process", n_jobs=2,
+                )
+                WORKERS.extend(sorted({int(pid) for pid in result.outputs.tolist()}))
+                print(" ".join(map(str, WORKERS)), flush=True)
+                """
+            )
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(repro.__file__))
+        done = subprocess.run(
+            [sys.executable, str(script), str(tmp_path / "named.sqlite")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        first, last = done.stdout.strip().splitlines()
+        pids = [int(pid) for pid in first.split()]
+        assert pids and os.getpid() not in pids
+        assert last == "alive at exit: []"
+        # gone when the process is, not later by the orphan watchdog
+        assert not any(_alive(pid) for pid in pids)
+
+    def test_threads_with_different_ship_once_evaluators(self, tmp_path):
+        points = [{"x": float(x)} for x in range(40)]
+        errors = []
+
+        def drive(offset):
+            evaluator = ShipOnceOffset(offset)
+            try:
+                for k in range(3):
+                    result = run_campaign(
+                        evaluator,
+                        PointsCampaign(points),
+                        store=str(tmp_path / f"offset{offset}-{k}.sqlite"),
+                        executor="process",
+                        n_jobs=2,
+                        chunk_size=8,
+                    )
+                    assert result.outputs.tolist() == [p["x"] + offset for p in points]
+            except BaseException as exc:  # surfaced by the main thread
+                errors.append(exc)
+
+        threads = [threading.Thread(target=drive, args=(offset,)) for offset in (1.0, 2.0)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
 
 
 class TestStoreBackedCache:

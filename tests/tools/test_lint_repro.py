@@ -342,6 +342,32 @@ class TestR009PoolHome:
             """,
         ) == []
 
+    def test_flags_a_library_pool_executor_built_elsewhere(self, tmp_path):
+        findings = self.lint_at(
+            tmp_path,
+            "src/repro/serve/fanout.py",
+            """
+            from repro.engine import executors
+            from repro.engine.executors import ProcessExecutor
+            first = ProcessExecutor(2)
+            second = executors.ThreadExecutor(n_jobs=4)
+            """,
+        )
+        assert codes(findings) == ["R009", "R009"]
+        assert all("resolve_executor" in finding[3] for finding in findings)
+
+    def test_library_executors_are_built_only_at_home_or_outside_the_package(self, tmp_path):
+        source = """
+            from repro.engine.executors import ProcessExecutor, SerialExecutor, resolve_executor
+            held = ProcessExecutor(2)
+            serial = SerialExecutor()
+            named = resolve_executor(2, "process")
+            """
+        assert self.lint_at(tmp_path, "src/repro/engine/executors.py", source) == []
+        assert self.lint_at(tmp_path, "benchmarks/bench_executors.py", source) == []
+        assert self.lint_at(tmp_path, "tests/engine/test_held.py", source) == []
+        assert codes(self.lint_at(tmp_path, "src/repro/store/held.py", source)) == ["R009"]
+
 
 class TestR010ScipyGmres:
     """R010 keeps one GMRES kernel: none reached through scipy.sparse.linalg."""

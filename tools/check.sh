@@ -53,18 +53,28 @@ python benchmarks/bench_e38_sparse_sweep.py --smoke || status=1
 echo "== bench e39 (smoke: structural pre-flight sizes nets without BFS) =="
 python benchmarks/bench_e39_invariants.py --smoke || status=1
 
-echo "== perfbench (traced smoke: every workload exits 0 with \"correct\": true) =="
+echo "== perfbench (traced smoke: every workload exits 0 with \"correct\": true, leaving no process behind) =="
 # The traced mode wraps library functions by name: a renamed one crashes
-# the run, a bypassed one empties its layer.
+# the run, a bypassed one empties its layer.  Each run leads its own
+# process group, so a worker, daemon or helper it started and did not
+# stop is still in that group after the run exits.
 for workload in serve-mixed campaign-store sparse-sweep; do
     out="$(mktemp -d)"
-    if python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 2 --trace 1 \
-            --out "$out" >"$out/stdout" 2>"$out/stderr" \
-        && tail -n 1 "$out/stdout" | grep -q '"correct": true'; then
+    setsid python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 2 --trace 1 \
+        --out "$out" >"$out/stdout" 2>"$out/stderr" &
+    group=$!
+    if wait "$group" && tail -n 1 "$out/stdout" | grep -q '"correct": true'; then
         echo "$workload: ok"
     else
         echo "$workload: FAILED"
         tail -n 20 "$out/stdout" "$out/stderr"
+        status=1
+    fi
+    left="$(pgrep -g "$group" || true)"
+    if [ -n "$left" ]; then
+        echo "$workload: FAILED (processes left running after exit)"
+        ps -o pid,ppid,args -p "$(echo $left | tr ' ' ',')" || true
+        kill $left 2>/dev/null || true
         status=1
     fi
     rm -rf "$out"

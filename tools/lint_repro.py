@@ -62,11 +62,14 @@ absent).  Rules:
 
 ``R009 pool-outside-executors``
     Under ``src/repro`` a ``concurrent.futures`` worker pool
-    (``ProcessPoolExecutor`` / ``ThreadPoolExecutor``) may be built only
-    in ``engine/executors.py``.  Pool lifetime (one pool per campaign,
-    reference-counted holding, broken-pool replacement) and the worker
-    initializer (ship-once evaluators, the orphan watchdog) live there;
-    a pool built anywhere else silently skips both.
+    (``ProcessPoolExecutor`` / ``ThreadPoolExecutor``) and the library's
+    own pool executors (``ProcessExecutor`` / ``ThreadExecutor``) may be
+    built only in ``engine/executors.py``.  Pool lifetime (one warm
+    executor per named backend per process, reference-counted holding,
+    broken-pool replacement) and the worker initializer (ship-once
+    evaluators, the orphan watchdog) live there; a pool or executor
+    built anywhere else silently skips them — library code resolves a
+    backend by name through ``resolve_executor``.
 
 ``R010 scipy-gmres``
     Under ``src/repro`` no ``gmres`` is reached through
@@ -305,14 +308,17 @@ def check_store_sqlite(tree: ast.AST, path: str) -> List[Finding]:
 
 #: the concurrent.futures pool classes R009 confines to engine/executors.py
 _POOL_CLASSES = {"ProcessPoolExecutor", "ThreadPoolExecutor"}
+#: the library's own pool executors, likewise built only there
+_EXECUTOR_CLASSES = {"ProcessExecutor", "ThreadExecutor"}
 
 
 def check_pool_home(tree: ast.AST, path: str) -> List[Finding]:
-    """R009: ``concurrent.futures`` pools only in ``engine/executors.py``.
+    """R009: pools and pool executors only in ``engine/executors.py``.
 
     Checks files under ``src/repro``; flags a ``ProcessPoolExecutor`` /
     ``ThreadPoolExecutor`` call (``concurrent.futures.X(...)`` or a bare
-    ``X(...)``) and ``from concurrent.futures import X``.
+    ``X(...)``), ``from concurrent.futures import X``, and a
+    ``ProcessExecutor(...)`` / ``ThreadExecutor(...)`` call.
     """
     normalized = path.replace("\\", "/")
     if "src/repro/" not in normalized or normalized.endswith("repro/engine/executors.py"):
@@ -322,10 +328,17 @@ def check_pool_home(tree: ast.AST, path: str) -> List[Finding]:
         "use an Executor (resolve_executor / parallel_starmap) so the pool "
         "lifetime and worker initializer keep one home"
     )
+    executor_message = (
+        "pool executor built outside repro/engine/executors.py; resolve the "
+        "backend by name (resolve_executor) so library calls share its warm "
+        "workers"
+    )
     findings = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Call) and _callee_name(node.func) in _POOL_CLASSES:
             findings.append((path, node.lineno, "R009", message))
+        elif isinstance(node, ast.Call) and _callee_name(node.func) in _EXECUTOR_CLASSES:
+            findings.append((path, node.lineno, "R009", executor_message))
         elif (
             isinstance(node, ast.ImportFrom)
             and node.module == "concurrent.futures"
