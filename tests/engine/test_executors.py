@@ -151,10 +151,9 @@ class TestSharedExecutors:
 
     PIDS = [{"x": float(k)} for k in range(16)]
 
-    def named_pids(self, policy=None, evaluate=worker_pid):
-        result = evaluate_batch(
-            evaluate, self.PIDS, executor="process", n_jobs=2, chunk_size=1, policy=policy
-        )
+    def named_pids(self):
+        """Pids of the workers that answered one named batch."""
+        result = evaluate_batch(worker_pid, self.PIDS, executor="process", n_jobs=2, chunk_size=1)
         return {int(pid) for pid in result.outputs.tolist()}
 
     def workers(self):
@@ -168,6 +167,33 @@ class TestSharedExecutors:
         assert resolve_executor(n_jobs=3, executor="process") is not process
         assert resolve_executor(n_jobs=2, executor="thread") is not process
         assert resolve_executor(executor="serial") is not resolve_executor(executor="serial")
+
+    def test_concurrent_resolution_registers_one_executor(self):
+        """More threads than cores resolve the same name at once; a lost
+        update would register (and hold) two executors."""
+        seen, errors = [], []
+
+        def resolve():
+            try:
+                for _ in range(200):
+                    seen.append(resolve_executor(n_jobs=2, executor="thread"))
+            except BaseException as exc:  # surfaced by the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=resolve) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        (executor,) = {id(e): e for e in seen}.values()
+        assert executor._holds == 1
 
     def test_named_batches_reuse_warm_workers_until_released(self):
         first = self.named_pids()
