@@ -160,3 +160,29 @@ class TestValidation:
             MicroBatcher(tiny_registry, max_batch=0)
         with pytest.raises(ValueError, match="flush_window"):
             MicroBatcher(tiny_registry, flush_window=-1.0)
+
+
+class TestNamedPoolFlushes:
+    def test_flushes_reuse_one_warm_pool(self, registry, monkeypatch):
+        import numpy as np
+
+        from repro.engine import ProcessExecutor
+
+        pools = []
+        make_pool = ProcessExecutor._make_pool
+
+        def counted(self, shipped):
+            pools.append(shipped)
+            return make_pool(self, shipped)
+
+        monkeypatch.setattr(ProcessExecutor, "_make_pool", counted)
+        points = [{"disk_failure_rate": 1e-5 * (1.0 + k / 10.0)} for k in range(4)]
+        serial = evaluate_batch(registry.get("bladecenter").evaluate, points).outputs
+        batcher = make_batcher(registry, executor="process", n_jobs=2)
+        try:
+            # one point at a time: every submit is its own flush
+            got = [batcher.submit("bladecenter", p).result(timeout=60) for p in points]
+        finally:
+            batcher.close()
+        assert np.array(got).tobytes() == serial.tobytes()
+        assert len(pools) == 1
