@@ -2,8 +2,8 @@
 
 Durability claims: (1) a 200-point compiled BladeCenter campaign whose
 worker is SIGKILLed at ~50% resumes to byte-identical results, with the
-resume re-evaluating only the uncommitted points — the kill loses at
-most the one chunk in flight; (2) two workers draining one shared store
+resume re-evaluating only the uncommitted points — the kill of this
+serial worker loses at most its round in flight, which is one chunk; (2) two workers draining one shared store
 commit every chunk exactly once (zero duplicate result rows); (3) a
 fully-warm rerun through the store-backed cache costs within 5% of the
 pure in-memory cache, because the memory LRU fronts the sqlite tier.

@@ -16,13 +16,14 @@ repair approximations) are delegated to
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Tuple
 
 from ..exceptions import HierarchyError
 from .fixedpoint import FixedPointResult, FixedPointSolver
 from .model import DependabilityModel
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = [
     "Submodel",
@@ -158,6 +159,8 @@ class HierarchicalModel:
 
     # ----------------------------------------------------------- structure
     def _import_graph(self) -> nx.DiGraph:
+        import networkx as nx
+
         graph = nx.DiGraph()
         for name in self._submodels:
             graph.add_node(name)
@@ -177,6 +180,8 @@ class HierarchicalModel:
 
     def is_acyclic(self) -> bool:
         """True when the import graph has no cycles."""
+        import networkx as nx
+
         return nx.is_directed_acyclic_graph(self._import_graph())
 
     # -------------------------------------------------------------- solve
@@ -200,6 +205,8 @@ class HierarchicalModel:
             Passed to :class:`~repro.core.fixedpoint.FixedPointSolver`
             when the graph is cyclic.
         """
+        import networkx as nx
+
         graph = self._import_graph()
         if nx.is_directed_acyclic_graph(graph):
             return self._solve_acyclic(graph)
@@ -221,6 +228,8 @@ class HierarchicalModel:
         return model, exports
 
     def _solve_acyclic(self, graph: nx.DiGraph) -> HierarchySolution:
+        import networkx as nx
+
         values: Dict[Tuple[str, str], float] = {}
         models: Dict[str, DependabilityModel] = {}
         for name in nx.topological_sort(graph):

@@ -16,7 +16,6 @@ import math
 from typing import Optional
 
 import numpy as np
-from scipy import integrate
 
 from ..exceptions import SolverError
 
@@ -38,6 +37,8 @@ def mttf_from_reliability(reliability, upper: Optional[float] = None) -> float:
         Optional finite truncation point.  When omitted the improper
         integral is evaluated directly.
     """
+    from scipy import integrate
+
     if upper is None:
         value, _ = integrate.quad(lambda t: float(reliability(t)), 0.0, np.inf, limit=200)
     else:
@@ -92,6 +93,8 @@ class DependabilityModel(abc.ABC):
         t = float(t)
         if t <= 0:
             raise SolverError("interval availability requires t > 0")
+        from scipy import integrate
+
         value, _ = integrate.quad(lambda u: float(np.asarray(self.availability(u))), 0.0, t, limit=200)
         return value / t
 

@@ -18,7 +18,6 @@ import math
 from typing import Optional
 
 import numpy as np
-from scipy import integrate, optimize
 
 from ..exceptions import DistributionError
 
@@ -121,6 +120,8 @@ class LifetimeDistribution(abc.ABC):
             mu = self.mean()
             return self.variance() + mu * mu
 
+        from scipy import integrate
+
         def integrand(t: float) -> float:
             return k * t ** (k - 1) * float(self.sf(t))
 
@@ -152,6 +153,8 @@ class LifetimeDistribution(abc.ABC):
             hi *= 2.0
             if hi > 1e300:
                 return math.inf
+        from scipy import optimize
+
         return float(optimize.brentq(lambda t: float(self.cdf(t)) - q, 0.0, hi, xtol=1e-12))
 
     def median(self) -> float:

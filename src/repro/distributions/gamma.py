@@ -12,7 +12,6 @@ import math
 from typing import Optional
 
 import numpy as np
-from scipy import stats
 
 from .._validation import check_positive
 from ..exceptions import DistributionError
@@ -36,6 +35,8 @@ class Gamma(LifetimeDistribution):
         self.rate = check_positive(rate, "rate")
 
     def _frozen(self):
+        from scipy import stats
+
         return stats.gamma(a=self.shape, scale=1.0 / self.rate)
 
     def pdf(self, t):

@@ -11,7 +11,6 @@ import math
 from typing import Optional
 
 import numpy as np
-from scipy import stats
 
 from .._validation import check_positive
 from .base import LifetimeDistribution
@@ -43,6 +42,8 @@ class Lognormal(LifetimeDistribution):
         return cls(mu=mu, sigma=math.sqrt(sigma2))
 
     def _frozen(self):
+        from scipy import stats
+
         return stats.lognorm(s=self.sigma, scale=math.exp(self.mu))
 
     def pdf(self, t):

@@ -84,7 +84,8 @@ class EngineOptions:
     resume:
         Only meaningful with ``store``.  ``None``/``True`` (default)
         reuses stored successes and re-dispatches stored failures —
-        restart loses at most one in-flight chunk.  ``False`` records
+        restart loses at most the round in flight (one store chunk per
+        executor worker).  ``False`` records
         durably but evaluates every point fresh this run.
     """
 

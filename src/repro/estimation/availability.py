@@ -13,7 +13,6 @@ import math
 from typing import NamedTuple, Sequence, Tuple
 
 import numpy as np
-from scipy import stats
 
 from ..exceptions import DistributionError
 
@@ -34,6 +33,8 @@ class AvailabilityEstimate(NamedTuple):
         """Normal-approximation CI, clipped to [0, 1]."""
         if not 0.0 < level < 1.0:
             raise DistributionError(f"level must be in (0, 1), got {level}")
+        from scipy import stats
+
         z = stats.norm.ppf(0.5 + level / 2.0)
         return (
             max(0.0, self.availability - z * self.std_error),

@@ -17,7 +17,6 @@ import math
 from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import stats
 
 from ..exceptions import DistributionError
 
@@ -109,6 +108,8 @@ def rate_confidence_interval(
         raise DistributionError(f"total_time must be positive, got {total_time}")
     if not 0.0 < level < 1.0:
         raise DistributionError(f"level must be in (0, 1), got {level}")
+    from scipy import stats
+
     alpha = 1.0 - level
     if failures == 0:
         lower = 0.0

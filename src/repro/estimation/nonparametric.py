@@ -10,7 +10,6 @@ from __future__ import annotations
 from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import stats
 
 from ..exceptions import DistributionError
 
@@ -45,6 +44,8 @@ class KaplanMeier(NamedTuple):
         """Pointwise normal-approximation confidence band."""
         if not 0.0 < level < 1.0:
             raise DistributionError(f"level must be in (0, 1), got {level}")
+        from scipy import stats
+
         z = stats.norm.ppf(0.5 + level / 2.0)
         half = z * np.sqrt(self.variance)
         return np.clip(self.survival - half, 0.0, 1.0), np.clip(

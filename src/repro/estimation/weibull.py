@@ -17,7 +17,6 @@ import math
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy import optimize
 
 from ..distributions import Weibull
 from ..exceptions import DistributionError
@@ -81,6 +80,8 @@ def fit_weibull_mle(
         hi *= 2.0
     if _profile_equation(lo, all_times, failures) > 0:
         raise DistributionError("Weibull MLE profile equation has no root in range")
+    from scipy import optimize
+
     shape = float(optimize.brentq(
         _profile_equation, lo, hi, args=(all_times, failures), xtol=1e-12
     ))
@@ -120,6 +121,8 @@ def fit_weibull_moments(samples: Sequence[float]) -> WeibullEstimate:
     lo, hi = 0.05, 1.0
     while cv_gap(hi) > 0 and hi < 1e4:
         hi *= 2.0
+    from scipy import optimize
+
     shape = float(optimize.brentq(cv_gap, lo, hi, xtol=1e-10))
     scale = mean / math.gamma(1.0 + 1.0 / shape)
     fitted = Weibull(shape=shape, scale=scale)

@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 from typing import Dict, Hashable, Mapping, Tuple
 
-import networkx as nx
 import numpy as np
 
 from ..exceptions import StateSpaceError
@@ -183,6 +182,8 @@ def acyclic_transient(chain: CTMC, initial) -> AcyclicTransientSolution:
     >>> round(solution.probability(2, 0.5), 10)    # e^{-2·0.5}
     0.3678794412
     """
+    import networkx as nx
+
     graph = nx.DiGraph()
     graph.add_nodes_from(chain.states)
     for src in chain.states:

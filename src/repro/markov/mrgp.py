@@ -33,7 +33,6 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Tuple
 
-import networkx as nx
 import numpy as np
 
 from .._validation import check_rate
@@ -320,6 +319,8 @@ class MarkovRegenerativeProcess:
         # only visited inside a region, never entered from outside).  GTH
         # needs irreducibility, so restrict to the terminal strongly
         # connected class of the embedded jump graph.
+        import networkx as nx
+
         graph = nx.DiGraph()
         for state, (jumps, _sojourns, _length) in cycles.items():
             graph.add_node(state)

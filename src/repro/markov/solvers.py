@@ -26,7 +26,6 @@ from functools import lru_cache
 from typing import List, Optional, Tuple
 
 import numpy as np
-from scipy import integrate as scipy_integrate
 from scipy import sparse
 from scipy.sparse import linalg as sparse_linalg
 
@@ -323,6 +322,8 @@ def transient_ode(
         n_times=int(times.size),
         horizon=horizon,
     ):
+        from scipy import integrate as scipy_integrate
+
         solution = scipy_integrate.solve_ivp(
             rhs,
             (0.0, horizon),

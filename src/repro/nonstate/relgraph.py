@@ -31,7 +31,6 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
-import networkx as nx
 import numpy as np
 
 from ..core.model import DependabilityModel, mttf_from_reliability
@@ -61,6 +60,8 @@ class ReliabilityGraph(DependabilityModel):
         self.source = source
         self.target = target
         self.directed = bool(directed)
+        import networkx as nx
+
         self._graph = nx.MultiDiGraph()
         self._graph.add_node(source)
         self._graph.add_node(target)
@@ -98,6 +99,8 @@ class ReliabilityGraph(DependabilityModel):
             raw: List[FrozenSet[str]] = []
             # Walk simple paths in the underlying simple digraph, expanding
             # parallel edges into alternative component choices.
+            import networkx as nx
+
             simple = nx.DiGraph()
             parallel: Dict[Tuple, List[str]] = {}
             for u, v, data in self._graph.edges(data=True):

@@ -12,7 +12,6 @@ import math
 from typing import Sequence, Tuple
 
 import numpy as np
-from scipy import stats
 
 from ..exceptions import SolverError
 
@@ -41,6 +40,8 @@ class Estimate:
         """Normal-approximation confidence interval."""
         if not 0.0 < level < 1.0:
             raise SolverError(f"level must be in (0, 1), got {level}")
+        from scipy import stats
+
         half = stats.norm.ppf(0.5 + level / 2.0) * self.std_error
         return self.value - half, self.value + half
 

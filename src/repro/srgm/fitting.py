@@ -11,7 +11,6 @@ import math
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy import optimize, stats
 
 from ..exceptions import DistributionError
 from .models import GoelOkumoto
@@ -85,6 +84,8 @@ def fit_goel_okumoto(
         )
     while equation(hi) > 0 and hi < 1e6:
         hi *= 2.0
+    from scipy import optimize
+
     b = float(optimize.brentq(equation, lo, hi, xtol=1e-14))
     a = n / (1.0 - math.exp(-b * T))
     log_lik = (
@@ -125,4 +126,6 @@ def laplace_trend(failure_times: Sequence[float], observation_time: float) -> La
         raise DistributionError("failure times must lie in [0, observation_time]")
     n = times.size
     u = (float(times.mean()) - T / 2.0) / (T * math.sqrt(1.0 / (12.0 * n)))
+    from scipy import stats
+
     return LaplaceTrend(statistic=u, p_value_growth=float(stats.norm.cdf(u)))

@@ -9,10 +9,11 @@ stdlib-sqlite :class:`CampaignStore` records each
 serializer thread in WAL mode — and makes campaigns resumable and
 shareable on top of it:
 
-* :class:`ResumableCampaign` — checkpoint-per-chunk execution: each
-  completed chunk commits atomically, restart skips stored successes
-  and re-dispatches stored failures, so ``kill -9`` mid-campaign loses
-  at most the one in-flight chunk;
+* :class:`ResumableCampaign` — checkpoint-per-chunk execution in
+  rounds of one chunk per executor worker: each completed chunk
+  commits atomically, restart skips stored successes and re-dispatches
+  stored failures, so ``kill -9`` mid-campaign loses at most the round
+  in flight (``n_jobs`` chunks; one when serial);
 * **work leases** — N worker processes drain one campaign against one
   store file via ``claim → evaluate → commit`` lease rows (worker id,
   expiry, heartbeat); a crashed worker's lease expires and its chunk is

@@ -14,7 +14,7 @@ The operational surface of the durable campaign store:
 
 The ``resume`` worker honors the two-stage signal contract
 (:class:`~repro.robust.GracefulShutdown`): the first SIGTERM/SIGINT
-finishes the in-flight chunk, commits it, flushes the store and exits 0;
+finishes the in-flight round, commits it, flushes the store and exits 0;
 the second force-exits.  ``--kill-after N`` arms the end-to-end crash
 harness — the worker SIGKILLs *itself* on its N-th evaluation via
 :class:`~repro.robust.FaultInjector`'s ``kill`` mode, which is how the

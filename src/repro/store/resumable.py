@@ -3,18 +3,21 @@
 The runner that turns the durable store into crash-proof sweeps.  A
 campaign's design is declared once (ordered point keys + a chunk plan);
 execution is then a *drain loop* that any number of workers can run
-against the same store file::
+against the same store file.  It drains in **rounds**, one store chunk
+per executor worker::
 
-    claim a chunk lease -> skip points already stored ok ->
-    evaluate the rest -> commit results + completion atomically -> repeat
+    claim up to n_jobs chunk leases -> skip points already stored ok ->
+    evaluate the rest in one batch (one whole chunk per worker) ->
+    commit each chunk's results + completion atomically -> repeat
 
 Because the loop is the same whether the campaign is fresh, resumed
 after ``kill -9``, or shared by N worker processes, there is exactly one
 code path to trust: a restart is just a worker joining a partially
-drained campaign.  The chunk commit is one sqlite transaction, so the
-blast radius of a hard kill is at most the chunk in flight; everything
-committed before it is never re-evaluated (the lease tests assert this
-with an evaluation-call counter).
+drained campaign.  Each chunk commit is one sqlite transaction, so the
+blast radius of a hard kill is at most the round in flight — at most
+``n_jobs`` chunks, one per executor worker (one chunk when serial);
+everything committed before it is never re-evaluated (the lease tests
+assert this with an evaluation-call counter).
 
 Stored *failures* are not sticky: on open, completed chunks containing
 error rows are reopened so the failed points are re-dispatched under the
@@ -86,7 +89,8 @@ class ResumableCampaign:
     seed:
         Store seed column (``""`` for deterministic evaluators).
     chunk_size:
-        Points per checkpoint — the maximum work a hard kill can lose.
+        Points per checkpoint.  A round claims one chunk per executor
+        worker, so a hard kill loses at most ``n_jobs`` chunks.
     campaign_id:
         Explicit id; defaults to the deterministic
         :func:`campaign_id_for` of the materialized design.
@@ -100,10 +104,12 @@ class ResumableCampaign:
         evaluation (policy, compile, inner ``n_jobs``...).  The
         campaign's own checkpointing replaces ``cache``/``progress``.
         The executor is resolved once per :meth:`run` and held open
-        across its chunks.  A named backend resolves to the process's
-        one warm executor for it, so workers are forked once per
-        process, not per campaign or chunk; an executor instance keeps
-        its pool for as long as its caller holds it.
+        across its rounds; each worker evaluates one whole chunk per
+        round unless ``options.chunk_size`` says otherwise.  A named
+        backend resolves to the process's one warm executor for it, so
+        workers are forked once per process, not per campaign or chunk;
+        an executor instance keeps its pool for as long as its caller
+        holds it.
     retry_failures:
         Reopen chunks containing stored failures on start (default).
 
@@ -191,14 +197,17 @@ class ResumableCampaign:
     ) -> CampaignResult:
         """Drain the campaign and return its (stored) results.
 
-        ``rng`` seeds randomized designs exactly as
-        :func:`~repro.engine.run_campaign` does.  ``throttle`` sleeps
-        that many seconds before each evaluation (test hook for killing
-        a worker mid-chunk).  ``should_stop`` is polled between chunks —
-        when it turns true the worker finishes its in-flight chunk,
-        commits it, and returns partial results (graceful shutdown).
-        ``max_chunks`` bounds this worker's share.  With ``wait`` the
-        call blocks until the whole campaign is drained (by anyone);
+        The campaign drains in rounds: each claims up to the executor's
+        ``n_jobs`` chunks, evaluates their pending points in one batch
+        and commits every chunk on its own.  ``rng`` seeds randomized
+        designs exactly as :func:`~repro.engine.run_campaign` does.
+        ``throttle`` sleeps that many seconds before each evaluation
+        (test hook for killing a worker mid-chunk).  ``should_stop`` is
+        polled between rounds — when it turns true the worker finishes
+        its in-flight round, commits its chunks, and returns partial
+        results (graceful shutdown).  ``max_chunks`` bounds this
+        worker's share, capping the last round's size.  With ``wait``
+        the call blocks until the whole campaign is drained (by anyone);
         without it, it returns as soon as this worker runs out of
         claimable chunks.
         """
@@ -228,11 +237,19 @@ class ResumableCampaign:
             else nullcontext()
         )
         # One executor for the whole drain loop, held open across its
-        # chunks; a named backend's workers are already warm from earlier
+        # rounds; a named backend's workers are already warm from earlier
         # campaigns in this process.
         executor = resolve_executor(self.options.n_jobs, self.options.executor)
         options = self.options.replace(
-            executor=executor, cache=None, progress=None, tracer=None
+            executor=executor,
+            cache=None,
+            progress=None,
+            tracer=None,
+            chunk_size=(
+                self.chunk_size
+                if self.options.chunk_size is None
+                else self.options.chunk_size
+            ),
         )
         durations: List[float] = []
         n_retries = pool_recoveries = 0
@@ -243,12 +260,15 @@ class ResumableCampaign:
                 if should_stop is not None and should_stop():
                     stopped = True
                     break
-                if max_chunks is not None and chunks_done >= max_chunks:
-                    break
-                chunk_id = self.store.claim_chunk(
-                    self.campaign_id, self.worker_id, ttl=self.lease_ttl
+                round_size = executor.n_jobs
+                if max_chunks is not None:
+                    if chunks_done >= max_chunks:
+                        break
+                    round_size = min(round_size, max_chunks - chunks_done)
+                chunk_ids = self.store.claim_chunks(
+                    self.campaign_id, self.worker_id, n=round_size, ttl=self.lease_ttl
                 )
-                if chunk_id is None:
+                if not chunk_ids:
                     if self._campaign_complete():
                         break
                     if not wait:
@@ -256,14 +276,14 @@ class ResumableCampaign:
                     # live leases elsewhere: wait for them to finish or expire
                     time.sleep(poll)
                     continue
-                chunk_stats = self._run_chunk(
-                    chunk_id, assignments, encoded, options, throttle=throttle
+                round_stats = self._run_round(
+                    chunk_ids, assignments, encoded, options, throttle=throttle
                 )
-                if chunk_stats is not None:
-                    durations.extend(chunk_stats.durations.tolist())
-                    n_retries += chunk_stats.n_retries
-                    pool_recoveries += chunk_stats.pool_recoveries
-                chunks_done += 1
+                if round_stats is not None:
+                    durations.extend(round_stats.durations.tolist())
+                    n_retries += round_stats.n_retries
+                    pool_recoveries += round_stats.pool_recoveries
+                chunks_done += len(chunk_ids)
 
         self.complete = self._campaign_complete()
         outputs, errors, missing = self._collect(encoded)
@@ -299,34 +319,38 @@ class ResumableCampaign:
         lo = chunk_id * self.chunk_size
         return range(lo, min(lo + self.chunk_size, n))
 
-    def _run_chunk(
+    def _run_round(
         self,
-        chunk_id: int,
+        chunk_ids: Sequence[int],
         assignments: List[Dict[str, float]],
         encoded: Sequence[str],
         options: EngineOptions,
         throttle: float = 0.0,
     ) -> Optional[EngineStats]:
-        """Evaluate one claimed chunk and checkpoint it atomically.
+        """Evaluate one round of claimed chunks, then checkpoint each atomically.
 
-        Returns the stats of the chunk's batch, or ``None`` when every
-        point was already stored ok.
+        One store lookup and one batch cover the whole round; each chunk
+        then commits on its own.  An exception from the batch commits
+        none of them.  Returns the stats of the round's batch, or
+        ``None`` when every point was already stored ok.
         """
-        indices = self._chunk_indices(chunk_id, len(assignments))
-        keys = [encoded[i] for i in indices]
-        stored = self.store.lookup_many(self.model, keys, seed=self.seed)
-        todo: List[int] = []  # positions within the chunk
-        for pos, key in enumerate(keys):
-            prior = stored.get(key)
+        chunks = [self._chunk_indices(c, len(assignments)) for c in chunk_ids]
+        indices = [i for chunk in chunks for i in chunk]
+        stored = self.store.lookup_many(
+            self.model, [encoded[i] for i in indices], seed=self.seed
+        )
+        todo: List[int] = []  # design indices still to evaluate
+        for i in indices:
+            prior = stored.get(encoded[i])
             if prior is None or not prior.ok:
-                todo.append(pos)
+                todo.append(i)
         tracer = get_tracer()
-        if tracer.enabled and len(todo) < len(keys):
+        if tracer.enabled and len(todo) < len(indices):
             tracer.metrics.counter("store.points.skipped", model=self.model).inc(
-                len(keys) - len(todo)
+                len(indices) - len(todo)
             )
         stats = None
-        rows = []
+        rows: Dict[int, tuple] = {}  # design index -> store row
         if todo:
             evaluate = self.evaluate
             if throttle > 0.0:
@@ -337,9 +361,7 @@ class ResumableCampaign:
                     return _inner(point)
 
             batch = evaluate_batch(
-                evaluate,
-                [assignments[indices[pos]] for pos in todo],
-                options=options,
+                evaluate, [assignments[i] for i in todo], options=options
             )
             stats = batch.stats
             self.evaluated_points += len(todo)
@@ -349,28 +371,29 @@ class ResumableCampaign:
                 ).inc(len(todo))
             errors_by_pos = {err.index: err for err in batch.errors}
             durations = stats.durations
-            for k, pos in enumerate(todo):
+            for k, i in enumerate(todo):
                 error = errors_by_pos.get(k)
                 value = float(batch.outputs[k])
                 duration = float(durations[k]) if k < len(durations) else 0.0
                 attempts = error.attempts if error is not None else 1
-                rows.append((keys[pos], value, error, duration, attempts))
-        written, duplicates = self.store.record_chunk(
-            self.campaign_id,
-            chunk_id,
-            self.model,
-            rows,
-            seed=self.seed,
-            worker_id=self.worker_id,
-        )
-        self.committed_chunks += 1
-        self.duplicate_commits += duplicates
-        if tracer.enabled:
-            tracer.metrics.counter("store.chunks.committed", model=self.model).inc()
-            if duplicates:
-                tracer.metrics.counter(
-                    "store.commit.duplicates", model=self.model
-                ).inc(duplicates)
+                rows[i] = (encoded[i], value, error, duration, attempts)
+        for chunk_id, chunk in zip(chunk_ids, chunks):
+            written, duplicates = self.store.record_chunk(
+                self.campaign_id,
+                chunk_id,
+                self.model,
+                [rows[i] for i in chunk if i in rows],
+                seed=self.seed,
+                worker_id=self.worker_id,
+            )
+            self.committed_chunks += 1
+            self.duplicate_commits += duplicates
+            if tracer.enabled:
+                tracer.metrics.counter("store.chunks.committed", model=self.model).inc()
+                if duplicates:
+                    tracer.metrics.counter(
+                        "store.commit.duplicates", model=self.model
+                    ).inc(duplicates)
         return stats
 
     def _reopen_failed_chunks(self, encoded: Sequence[str]) -> int:

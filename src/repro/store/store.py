@@ -24,7 +24,7 @@ Commit semantics (the invariants the rest of the subsystem builds on):
   rule;
 * a **chunk commits atomically** — :meth:`record_chunk` folds the
   chunk's rows and its lease completion into one transaction, so a
-  ``kill -9`` loses at most the chunk in flight, never half of one.
+  ``kill -9`` loses only uncommitted chunks, never half of one.
 
 Point keys are the engine's :func:`~repro.engine.canonical_point_key`
 serialized as JSON — ``json`` renders floats via ``repr``, which
@@ -457,50 +457,70 @@ class CampaignStore:
         worker_id: str,
         ttl: float = 60.0,
     ) -> Optional[int]:
-        """Atomically claim one incomplete, unleased (or expired) chunk.
+        """Atomically claim one chunk: the ``n=1`` case of :meth:`claim_chunks`.
+
+        Returns the chunk id, or ``None`` when nothing is claimable.
+        """
+        claimed = self.claim_chunks(campaign_id, worker_id, n=1, ttl=ttl)
+        return claimed[0] if claimed else None
+
+    def claim_chunks(
+        self,
+        campaign_id: str,
+        worker_id: str,
+        n: int = 1,
+        ttl: float = 60.0,
+    ) -> List[int]:
+        """Atomically claim up to ``n`` incomplete, unleased (or expired) chunks.
 
         A chunk is claimable when it is not completed and either was
         never leased, its lease expired (crashed worker — counted as a
         reclaim), or this very worker already holds it (re-entrant).
-        Returns the chunk id, or ``None`` when nothing is claimable —
+        Returns the claimed chunk ids, lowest first — fewer than ``n``
+        when fewer are claimable, and an empty list when nothing is,
         which means either the campaign is drained or every remaining
         chunk is live under another worker's lease.
 
         The select-and-update runs inside one ``BEGIN IMMEDIATE``
         transaction on the serializer thread, so two workers can never
         walk away with the same chunk: the loser of the race simply
-        claims the next chunk (or none).
+        claims the next chunks (or none).
         """
+        if n < 1:
+            raise ModelDefinitionError(f"n must be >= 1, got {n}")
         stamp = float(self.now())
 
         def _claim(conn):
             conn.execute("BEGIN IMMEDIATE")
-            row = conn.execute(
+            rows = conn.execute(
                 "SELECT chunk_id, worker_id, lease_expiry FROM leases "
                 "WHERE campaign_id = ? AND completed = 0 "
                 "AND (worker_id IS NULL OR worker_id = ? OR lease_expiry < ?) "
-                "ORDER BY chunk_id LIMIT 1",
-                (campaign_id, worker_id, stamp),
-            ).fetchone()
-            if row is None:
-                return None, False
-            chunk_id, holder, expiry = row
-            reclaimed = holder is not None and holder != worker_id and expiry < stamp
-            conn.execute(
+                "ORDER BY chunk_id LIMIT ?",
+                (campaign_id, worker_id, stamp, int(n)),
+            ).fetchall()
+            conn.executemany(
                 "UPDATE leases SET worker_id = ?, lease_expiry = ?, heartbeat = ? "
                 "WHERE campaign_id = ? AND chunk_id = ?",
-                (worker_id, stamp + float(ttl), stamp, campaign_id, chunk_id),
+                [
+                    (worker_id, stamp + float(ttl), stamp, campaign_id, chunk_id)
+                    for chunk_id, _, _ in rows
+                ],
             )
-            return chunk_id, reclaimed
+            reclaimed = sum(
+                holder is not None and holder != worker_id and expiry < stamp
+                for _, holder, expiry in rows
+            )
+            return [chunk_id for chunk_id, _, _ in rows], reclaimed
 
-        chunk_id, reclaimed = self.db.run(_claim)
+        chunk_ids, reclaimed = self.db.run(_claim)
         if reclaimed:
             from ..obs.trace import get_tracer
 
             tracer = get_tracer()
             if tracer.enabled:
-                tracer.metrics.counter("store.lease.reclaims").inc()
-        return chunk_id
+                tracer.metrics.counter("store.lease.reclaims").inc(reclaimed)
+        return chunk_ids
 
     def heartbeat(
         self, campaign_id: str, chunk_id: int, worker_id: str, ttl: float = 60.0

@@ -40,7 +40,7 @@ class TestFlagSemantics:
 
     def test_doubles_as_should_stop(self):
         """The instance is the ``should_stop`` callable ResumableCampaign
-        polls between chunks."""
+        polls between rounds."""
         shutdown = GracefulShutdown(signals=())
         stops = [shutdown() for _ in range(2)]
         shutdown.request()

@@ -3,20 +3,25 @@ resume, and require bit-identity with an uninterrupted serial run.
 
 This is the acceptance harness for the durability story: the worker dies
 hard (``kill -9`` semantics — no atexit, no flush), so anything it had
-not committed is genuinely gone.  The chunk checkpoint contract says the
-blast radius is at most the chunk in flight, and a resumed worker
-re-evaluates only that.
+not committed is genuinely gone.  The checkpoint contract says the
+blast radius is at most the round in flight (one chunk when serial, at
+most ``n_jobs`` chunks with a pool), and a resumed worker re-evaluates
+only that.
 """
 
 import os
 import signal
 import subprocess
 import sys
+import textwrap
+import time
 
 import numpy as np
 import pytest
 
+from repro.engine import EngineOptions
 from repro.store import CampaignStore, ResumableCampaign, campaign_id_for, encode_point_key
+from tests.engine.test_executors import _alive
 from tests.store.crash_model import evaluate
 
 POINTS = [{"x": 0.25 * k} for k in range(20)]
@@ -87,8 +92,9 @@ class TestSigkillRecovery:
         assert outputs.tobytes() == baseline.tobytes()
 
     def test_resume_reevaluates_at_most_one_chunk_boundary(self, declared):
-        """The kill loses at most the in-flight chunk: the resume's work
-        is exactly total - committed, where committed is chunk-aligned."""
+        """A serial worker's round is one chunk, so the kill loses at most
+        that chunk: the resume's work is exactly total - committed, where
+        committed is chunk-aligned."""
         path, _ = declared
         # short lease: the dead worker's in-flight chunk becomes claimable
         # quickly for the differently-named verifier below
@@ -107,6 +113,63 @@ class TestSigkillRecovery:
         assert 0 <= lost < CHUNK + 1
         assert resumed.evaluated_points == len(POINTS) - committed
         assert resumed.skipped_points == committed
+
+
+class TestSigkillTwoWorkerRound:
+    """With ``n_jobs=2`` a round holds two chunks, one per pool worker; a
+    hard kill of the driver loses at most that round."""
+
+    def test_kill_loses_at_most_one_round(self, declared, tmp_path):
+        path, _ = declared
+        log = str(tmp_path / "evaluations.log")
+        baseline = np.asarray([evaluate(p) for p in POINTS], dtype=float)
+        # point 14 sits in chunk 3, the second chunk of round 1 (chunks 2, 3)
+        script = textwrap.dedent(
+            f"""
+            import os
+            from repro.engine import EngineOptions
+            from repro.store import CampaignStore, ResumableCampaign
+            from tests.store.crash_model import KillDriverAt
+            from tests.store.test_crash_recovery import CHUNK, MODEL, POINTS
+
+            with CampaignStore({path!r}) as store:
+                ResumableCampaign(
+                    KillDriverAt(3.5, os.getpid(), {log!r}), POINTS, store,
+                    model=MODEL, chunk_size=CHUNK, worker_id="w-round",
+                    options=EngineOptions(executor="process", n_jobs=2),
+                ).run()
+            """
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=worker_env(), capture_output=True, timeout=120
+        )
+        assert proc.returncode == -signal.SIGKILL, proc.stderr.decode()
+
+        with CampaignStore(path) as store:
+            committed = store.counts(MODEL)["ok"]
+        with open(log) as handle:
+            lines = [line.split() for line in handle]
+        assert committed % CHUNK == 0, "partial chunks never reach the store"
+        assert committed == 2 * CHUNK, "round 0 survived, round 1 was lost whole"
+        lost = len(lines) - committed  # evaluations made but never committed
+        assert 0 < lost <= 2 * CHUNK
+        # the orphaned pool workers notice the dead driver and leave
+        workers = {int(pid) for _, pid in lines}
+        deadline = time.monotonic() + 10.0
+        while any(_alive(pid) for pid in workers) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(_alive(pid) for pid in workers)
+
+        with CampaignStore(path) as store:
+            resumed = ResumableCampaign(
+                evaluate, POINTS, store, model=MODEL, chunk_size=CHUNK,
+                worker_id="w-round",  # re-entrant: takes its dead leases back
+                options=EngineOptions(executor="process", n_jobs=2),
+            )
+            outputs = resumed.run().outputs
+            assert resumed.evaluated_points == len(POINTS) - committed
+            assert resumed.duplicate_commits == 0
+        assert outputs.tobytes() == baseline.tobytes()
 
 
 class TestSigtermGracefulDrain:

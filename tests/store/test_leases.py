@@ -6,6 +6,7 @@ tested deterministically, without sleeping.
 
 import pytest
 
+from repro.exceptions import ModelDefinitionError
 from repro.store import CampaignStore, ResumableCampaign
 
 
@@ -60,6 +61,50 @@ class TestClaims:
         assert store.claim_chunk("c1", "w2", ttl=60.0) == 1
         states = {s["chunk_id"]: s for s in store.chunk_states("c1")}
         assert states[0]["completed"] is True
+
+
+class TestClaimMany:
+    """``claim_chunks``: one transaction claims a round of chunks."""
+
+    @pytest.fixture()
+    def store(self, clock):
+        with CampaignStore(":memory:", now=clock) as s:
+            s.create_campaign("c5", "m", [{"x": float(x)} for x in range(10)], chunk_size=2)
+            yield s
+
+    def test_claims_lowest_chunks_first(self, store):
+        assert store.claim_chunks("c5", "w1", n=3, ttl=60.0) == [0, 1, 2]
+        states = {s["chunk_id"]: s["worker_id"] for s in store.chunk_states("c5")}
+        assert states == {0: "w1", 1: "w1", 2: "w1", 3: None, 4: None}
+
+    def test_two_workers_get_disjoint_rounds(self, store):
+        assert store.claim_chunks("c5", "w1", n=2, ttl=60.0) == [0, 1]
+        assert store.claim_chunks("c5", "w2", n=2, ttl=60.0) == [2, 3]
+
+    def test_fewer_when_fewer_are_claimable(self, store):
+        store.claim_chunks("c5", "w1", n=3, ttl=60.0)
+        store.record_chunk("c5", 3, "m", [], worker_id="w2")
+        assert store.claim_chunks("c5", "w2", n=4, ttl=60.0) == [4]
+        assert store.claim_chunks("c5", "w3", n=4, ttl=60.0) == []
+
+    def test_expired_leases_are_reclaimed(self, store, clock):
+        assert store.claim_chunks("c5", "w1", n=2, ttl=30.0) == [0, 1]
+        clock.advance(10.0)
+        assert store.claim_chunks("c5", "w2", n=2, ttl=60.0) == [2, 3]
+        clock.advance(25.0)  # w1's leases expired at t=30, w2's live to t=70
+        assert store.claim_chunks("c5", "w3", n=3, ttl=60.0) == [0, 1, 4]
+        states = {s["chunk_id"]: s["worker_id"] for s in store.chunk_states("c5")}
+        assert states == {0: "w3", 1: "w3", 2: "w2", 3: "w2", 4: "w3"}
+
+    def test_holder_reclaims_its_own_round(self, store):
+        assert store.claim_chunks("c5", "w1", n=2, ttl=60.0) == [0, 1]
+        # re-entrant: the holder gets its chunks back first, then new ones
+        assert store.claim_chunks("c5", "w1", n=3, ttl=60.0) == [0, 1, 2]
+        assert store.claim_chunks("c5", "w2", n=3, ttl=60.0) == [3, 4]
+
+    def test_n_below_one_is_refused(self, store):
+        with pytest.raises(ModelDefinitionError, match="n must be >= 1"):
+            store.claim_chunks("c5", "w1", n=0)
 
 
 class TestHeartbeat:

@@ -27,6 +27,7 @@ from repro.store import (
     campaign_id_for,
     resume_campaign,
 )
+from repro.store import resumable
 from tests.engine.test_executors import _alive
 
 
@@ -157,6 +158,89 @@ class TestResume:
 
         with pytest.raises(SolverError, match="unknown campaign"):
             resume_campaign(store, "nope")
+
+
+class TestRounds:
+    """The drain claims one store chunk per executor worker per round and
+    evaluates the round in one batch, one whole chunk per worker."""
+
+    @pytest.fixture()
+    def batches(self, monkeypatch):
+        calls = []
+        real = resumable.evaluate_batch
+
+        def recording(evaluate, assignments, options=None):
+            calls.append((len(assignments), options.chunk_size))
+            return real(evaluate, assignments, options=options)
+
+        monkeypatch.setattr(resumable, "evaluate_batch", recording)
+        return calls
+
+    @pytest.mark.parametrize(
+        "n_jobs, expected", [(2, [(50, 25)] * 3), (1, [(25, 25)] * 6)]
+    )
+    def test_one_batch_per_round(self, store, batches, n_jobs, expected):
+        points = [{"x": float(x)} for x in range(150)]  # 6 chunks of 25
+        executor = "process" if n_jobs > 1 else None
+        result = run_campaign(
+            worker_pid, PointsCampaign(points), store=store, executor=executor, n_jobs=n_jobs
+        )
+        assert batches == expected
+        (campaign_id,) = store.campaign_ids()
+        assert all(state["completed"] for state in store.chunk_states(campaign_id))
+        # each store chunk ran whole, in one process
+        for lo in range(0, 150, 25):
+            assert len(set(result.outputs[lo : lo + 25].tolist())) == 1
+
+    def test_max_chunks_caps_the_last_round(self, store, batches):
+        points = [{"x": float(x)} for x in range(20)]  # 10 chunks of 2
+        campaign = ResumableCampaign(
+            square, points, store, model="sq", chunk_size=2,
+            options=EngineOptions(executor="thread", n_jobs=2),
+        )
+        partial = campaign.run(max_chunks=3, wait=False)
+        assert campaign.committed_chunks == 3
+        assert batches == [(4, 2), (2, 2)]
+        assert np.isnan(partial.outputs).sum() == 14
+        states = store.chunk_states(campaign.campaign_id)
+        assert [s["completed"] for s in states] == [True] * 3 + [False] * 7
+
+    def test_should_stop_is_polled_between_rounds(self, store, batches):
+        stops = iter([False, True])
+        campaign = ResumableCampaign(
+            square, POINTS, store, model="sq", chunk_size=3,
+            options=EngineOptions(executor="thread", n_jobs=2),
+        )
+        campaign.run(should_stop=lambda: next(stops))
+        # the one round that ran committed both of its chunks
+        assert campaign.committed_chunks == 2
+        assert batches == [(6, 3)]
+        assert not campaign.complete
+
+    def test_explicit_engine_chunk_size_is_kept(self, store, batches):
+        campaign = ResumableCampaign(
+            square, POINTS, store, model="sq", chunk_size=3,
+            options=EngineOptions(executor="thread", n_jobs=2, chunk_size=1),
+        )
+        assert campaign.run().outputs.tolist() == [square(p) for p in POINTS]
+        assert batches == [(6, 1), (4, 1)]
+
+    def test_fail_fast_commits_no_chunk_of_its_round(self, store):
+        def fails_on_seven(p):
+            if p["x"] == 7.0:
+                raise ValueError("boom")
+            return square(p)
+
+        campaign = ResumableCampaign(
+            fails_on_seven, POINTS, store, model="sq", chunk_size=3,
+            options=EngineOptions(executor="thread", n_jobs=2),
+        )
+        with pytest.raises(ValueError, match="boom"):
+            campaign.run()
+        # round 0 (chunks 0, 1) committed; round 1 (chunks 2, 3) holds x=7
+        states = store.chunk_states(campaign.campaign_id)
+        assert [s["completed"] for s in states] == [True, True, False, False]
+        assert store.counts("sq")["ok"] == 6
 
 
 class TestFailureRedispatch:
@@ -300,7 +384,8 @@ class TestCampaignPool:
         candidates = [{"x": float(x)} for x in range(200)]
         crashing = [p for p in candidates if injector.selects(p)]
         clean = [p for p in candidates if not injector.selects(p)]
-        # 6 chunks of 4: only chunk 2 holds a point that kills its worker
+        # 6 chunks of 4, drained in rounds of 2 (one chunk per worker):
+        # only chunk 2 holds a point that kills its worker
         points = clean[:8] + crashing[:1] + clean[8:23]
         result = ResumableCampaign(
             injector,
@@ -321,9 +406,11 @@ class TestCampaignPool:
         assert result.stats.executor == "store"
         with open(log) as handle:
             pid_of = {float(x): int(pid) for x, pid in (line.split() for line in handle)}
-        before = {pid_of[p["x"]] for p in points[:8]}
-        after = {pid_of[p["x"]] for p in points[12:]}
-        # the chunks after the crash ran in fresh workers, not in the parent
+        before = {pid_of[p["x"]] for p in points[:8]}  # round 0: chunks 0, 1
+        after = {pid_of[p["x"]] for p in points[16:]}  # round 2: chunks 4, 5
+        # chunk 3 shares round 1 with the crash, so a pre-crash worker may
+        # have run it; the rounds after the crash ran in fresh workers,
+        # not in the parent
         assert os.getpid() not in after
         assert not before & after
         assert len(after) <= 2

@@ -57,6 +57,25 @@ class TestLazyExports:
         )
         assert out.stdout.split() == ["False", "CTMC", "True"]
 
+    def test_serving_packages_skip_the_heavy_imports(self):
+        # the store, compiled evaluators, the daemon and the case studies
+        # never need scipy.stats/integrate/optimize or networkx; every
+        # worker process would pay ~0.9 s and ~50 MB for them (lint R011)
+        code = (
+            "import sys; import repro.store, repro.compile, repro.serve, "
+            "repro.casestudies; print(' '.join(m for m in ('scipy.stats', "
+            "'scipy.integrate', 'scipy.optimize', 'networkx') if m in sys.modules))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"},
+            cwd=str(__import__("pathlib").Path(__file__).resolve().parent.parent),
+        )
+        assert out.stdout.split() == []
+
 
 class TestNoDeprecatedInternalUsage:
     """Library code must never call its own deprecated kwargs."""

@@ -433,6 +433,97 @@ class TestR010ScipyGmres:
         ) == []
 
 
+class TestR011HeavyImports:
+    """R011 keeps scipy.stats/integrate/optimize and networkx out of import time."""
+
+    def lint_at(self, tmp_path, relpath, source):
+        path = tmp_path / relpath
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(textwrap.dedent(source))
+        return lint_repro.lint_file(path)
+
+    def test_flags_every_spelling_at_module_level(self, tmp_path):
+        findings = self.lint_at(
+            tmp_path,
+            "src/repro/core/heavy.py",
+            """
+            import networkx as nx
+            import scipy.optimize
+            from scipy import sparse, stats
+            from scipy.integrate import quad
+            from networkx.algorithms import dag
+            """,
+        )
+        assert codes(findings) == ["R011"] * 5
+        assert [line for _path, line, _code, _msg in findings] == [2, 3, 4, 5, 6]
+        assert "scipy.stats" in findings[2][3]
+
+    def test_flags_import_time_blocks_and_class_bodies(self, tmp_path):
+        findings = self.lint_at(
+            tmp_path,
+            "src/repro/markov/blocks.py",
+            """
+            try:
+                from scipy import optimize
+            except ImportError:
+                import networkx
+            if FAST:
+                pass
+            else:
+                from scipy import integrate
+
+            class Fit:
+                from scipy import stats
+            """,
+        )
+        assert codes(findings) == ["R011"] * 4
+
+    def test_function_local_type_checking_and_light_imports_pass(self, tmp_path):
+        assert self.lint_at(
+            tmp_path,
+            "src/repro/core/light.py",
+            """
+            from typing import TYPE_CHECKING
+
+            import scipy
+            from scipy import linalg, sparse
+            from scipy.sparse import csgraph
+
+            if TYPE_CHECKING:
+                import networkx as nx
+
+            def solve(graph: "nx.DiGraph"):
+                import networkx as nx
+                from scipy import integrate
+
+                return nx.topological_sort(graph), integrate.quad
+
+            class Model:
+                def fit(self):
+                    from scipy import optimize, stats
+
+                    return optimize.brentq, stats.norm
+            """,
+        ) == []
+
+    def test_code_outside_the_package_and_noqa_pass(self, tmp_path):
+        assert self.lint_at(
+            tmp_path,
+            "tests/core/test_heavy.py",
+            """
+            import networkx as nx
+            from scipy import stats
+            """,
+        ) == []
+        assert self.lint_at(
+            tmp_path,
+            "src/repro/core/waived.py",
+            """
+            import networkx as nx  # noqa: R011
+            """,
+        ) == []
+
+
 class TestR007SparseDensification:
     """R007 is path-sensitive: it polices the sparse and compiled-CSR code only."""
 

@@ -79,6 +79,15 @@ absent).  Rules:
     kernel, ``_gmres`` in ``sparse/krylov.py``; a second path would
     skip its stagnation exit and its BLAS-1 plumbing.
 
+``R011 heavy-module-level-import``
+    Under ``src/repro`` no module imports ``scipy.stats``,
+    ``scipy.integrate``, ``scipy.optimize`` or ``networkx`` at module
+    level (top level, or in a class body or a block run on import;
+    ``if TYPE_CHECKING:`` is exempt).  Together they cost ~0.9 s and
+    ~50 MB per process, and the store, compiled evaluators, the daemon
+    and the case studies never use them; import them inside the
+    function that does.
+
 Usage::
 
     python tools/lint_repro.py [paths...]
@@ -384,6 +393,75 @@ def check_scipy_gmres(tree: ast.AST, path: str) -> List[Finding]:
                 ast.unparse(owner) == _SCIPY_LINALG
             ):
                 findings.append((path, node.lineno, "R010", message))
+    return findings
+
+
+#: modules R011 keeps out of module-level imports under src/repro
+_HEAVY_MODULES = ("scipy.stats", "scipy.integrate", "scipy.optimize", "networkx")
+
+
+def _is_heavy(module: str) -> bool:
+    return any(module == heavy or module.startswith(heavy + ".") for heavy in _HEAVY_MODULES)
+
+
+def _is_type_checking(test: ast.expr) -> bool:
+    return (isinstance(test, ast.Name) and test.id == "TYPE_CHECKING") or (
+        isinstance(test, ast.Attribute) and test.attr == "TYPE_CHECKING"
+    )
+
+
+def _import_time_statements(body):
+    """Statements run on import: descends into blocks and class bodies,
+    not into functions or ``if TYPE_CHECKING:``."""
+    for node in body:
+        yield node
+        if isinstance(node, ast.If):
+            if not _is_type_checking(node.test):
+                yield from _import_time_statements(node.body)
+            yield from _import_time_statements(node.orelse)
+        elif isinstance(node, ast.Try):
+            for block in (node.body, node.orelse, node.finalbody):
+                yield from _import_time_statements(block)
+            for handler in node.handlers:
+                yield from _import_time_statements(handler.body)
+        elif isinstance(node, (ast.With, ast.For, ast.While, ast.ClassDef)):
+            yield from _import_time_statements(node.body)
+            yield from _import_time_statements(getattr(node, "orelse", []))
+
+
+def check_heavy_imports(tree: ast.Module, path: str) -> List[Finding]:
+    """R011: no module-level import of scipy.stats/integrate/optimize or networkx.
+
+    Checks files under ``src/repro``: ``import <heavy>[.sub]``,
+    ``from <heavy>[.sub] import ...`` and ``from scipy import
+    stats|integrate|optimize`` among the statements run on import.
+    """
+    if "src/repro/" not in path.replace("\\", "/"):
+        return []
+    findings = []
+    for node in _import_time_statements(tree.body):
+        if isinstance(node, ast.Import):
+            heavy = [alias.name for alias in node.names if _is_heavy(alias.name)]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            module = node.module or ""
+            heavy = [module] if _is_heavy(module) else [
+                f"{module}.{alias.name}"
+                for alias in node.names
+                if _is_heavy(f"{module}.{alias.name}")
+            ]
+        else:
+            continue
+        for name in heavy:
+            findings.append(
+                (
+                    path,
+                    node.lineno,
+                    "R011",
+                    f"module-level import of {name}; import it inside the "
+                    "function that uses it (the store, compiled evaluators "
+                    "and the daemon never load it)",
+                )
+            )
     return findings
 
 
@@ -748,6 +826,7 @@ def lint_file(py_path: Path) -> List[Finding]:
     findings += check_store_sqlite(tree, path)
     findings += check_pool_home(tree, path)
     findings += check_scipy_gmres(tree, path)
+    findings += check_heavy_imports(tree, path)
     findings += check_sparse_densification(tree, path)
     findings += check_lock_discipline(tree, path)
     lines = source.splitlines()
