@@ -425,10 +425,7 @@ class CompiledCTMC(_FrozenChain):
         hand-written :class:`Param` terms when rates should track a
         sweep instead.
         """
-        transitions = [
-            (int(i), int(j), Const(float(v)))
-            for i, j, v in zip(chain._coo_rows, chain._coo_cols, chain._coo_vals)
-        ]
+        transitions = [(i, j, Const(v)) for i, j, v in chain._transitions()]
         return cls(chain.states, transitions)
 
     def index_of(self, state: State) -> int:

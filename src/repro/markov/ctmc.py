@@ -29,85 +29,75 @@ A two-unit parallel system with a single shared repair facility::
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Hashable, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse import linalg as sparse_linalg
 
 from .._validation import check_rate, initial_vector
 from ..core.model import DependabilityModel
 from ..exceptions import ModelDefinitionError, SolverError, StateSpaceError
 from ..obs.trace import get_tracer
-from .registry import STEADY_STATE, TRANSIENT, check_gth_size
-from .solvers import (
-    _UNIFORMIZATION_TOL,
-    cumulative_uniformization,
-    gth_solve,
-    solve_transient,
-    steady_state_direct,
-    steady_state_power,
-)
+from .registry import STEADY_STATE, TRANSIENT
+from .solvers import _UNIFORMIZATION_TOL, cumulative_uniformization, solve_transient
 
-__all__ = ["CTMC", "MarkovDependabilityModel"]
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from ..sparse.ctmc import SparseCTMC
+
+__all__ = ["CTMC", "ChainDependabilityModel", "MarkovDependabilityModel"]
 
 State = Hashable
 
 
-class CTMC:
-    """A finite continuous-time Markov chain with labelled states.
+class _LabelledChain:
+    """Labelled states plus one accumulating ``(i, j) → value`` store.
 
-    Transitions are added with :meth:`add_transition`; parallel additions
-    between the same pair of states accumulate.  All analysis methods
-    accept and return state labels, never raw indices.
+    The shared build layer of :class:`CTMC` and
+    :class:`~repro.markov.dtmc.DTMC`: one COO slot per distinct
+    ``(i, j)`` pair in first-insertion order, so repeated additions
+    accumulate in place and the matrix assembles from flat arrays in
+    O(nnz).
     """
 
     def __init__(self, states: Iterable[State] = ()):
         self._states: List[State] = []
         self._index: Dict[State, int] = {}
-        self._rates: Dict[Tuple[int, int], float] = {}
-        # COO triplet buffers kept in sync with _rates: one slot per
-        # distinct (i, j) pair in first-insertion order, so generator()
-        # assembles the CSR matrix from flat arrays in O(nnz) instead of
-        # re-walking the dict on every build-modify-build cycle.
-        self._coo_pos: Dict[Tuple[int, int], int] = {}
-        self._coo_rows: List[int] = []
-        self._coo_cols: List[int] = []
-        self._coo_vals: List[float] = []
-        self._generator_cache: Optional[sparse.csr_matrix] = None
+        self._slot: Dict[Tuple[int, int], int] = {}
+        self._rows: List[int] = []
+        self._cols: List[int] = []
+        self._vals: List[float] = []
+        #: the assembled matrix, dropped on every change
+        self._cache: Optional[sparse.csr_matrix] = None
         for state in states:
             self.add_state(state)
 
-    # --------------------------------------------------------------- build
-    def add_state(self, state: State) -> "CTMC":
+    def add_state(self, state: State):
         """Register a state (no-op when already present)."""
         if state not in self._index:
             self._index[state] = len(self._states)
             self._states.append(state)
-            self._generator_cache = None
+            self._cache = None
         return self
 
-    def add_transition(self, source: State, target: State, rate: float) -> "CTMC":
-        """Add (or accumulate) a transition ``source → target`` at ``rate``."""
-        if source == target:
-            raise ModelDefinitionError("self-loops are meaningless in a CTMC")
-        check_rate(rate)
+    def _accumulate(self, source: State, target: State, value: float) -> None:
         self.add_state(source)
         self.add_state(target)
         key = (self._index[source], self._index[target])
-        value = self._rates.get(key, 0.0) + float(rate)
-        self._rates[key] = value
-        pos = self._coo_pos.get(key)
+        pos = self._slot.get(key)
         if pos is None:
-            self._coo_pos[key] = len(self._coo_rows)
-            self._coo_rows.append(key[0])
-            self._coo_cols.append(key[1])
-            self._coo_vals.append(value)
+            self._slot[key] = len(self._rows)
+            self._rows.append(key[0])
+            self._cols.append(key[1])
+            self._vals.append(value)
         else:
-            self._coo_vals[pos] = value
-        self._generator_cache = None
-        return self
+            self._vals[pos] += value
+        self._cache = None
 
-    # -------------------------------------------------------------- access
+    def _transitions(self) -> Iterable[Tuple[int, int, float]]:
+        """``(i, j, value)`` per distinct pair, in first-insertion order."""
+        return zip(self._rows, self._cols, self._vals)
+
     @property
     def states(self) -> List[State]:
         """State labels in index order."""
@@ -125,28 +115,50 @@ class CTMC:
         except KeyError:
             raise ModelDefinitionError(f"unknown state: {state!r}") from None
 
+    def _initial_vector(self, initial) -> np.ndarray:
+        return initial_vector(initial, self.n_states, self.index_of)
+
+
+class CTMC(_LabelledChain):
+    """A finite continuous-time Markov chain with labelled states.
+
+    Transitions are added with :meth:`add_transition`; parallel additions
+    between the same pair of states accumulate.  All analysis methods
+    accept and return state labels, never raw indices.
+    """
+
+    def add_transition(self, source: State, target: State, rate: float) -> "CTMC":
+        """Add (or accumulate) a transition ``source → target`` at ``rate``."""
+        if source == target:
+            raise ModelDefinitionError("self-loops are meaningless in a CTMC")
+        check_rate(rate)
+        self._accumulate(source, target, float(rate))
+        return self
+
+    # -------------------------------------------------------------- access
     def rate(self, source: State, target: State) -> float:
         """Transition rate between two states (0 when absent)."""
-        return self._rates.get((self.index_of(source), self.index_of(target)), 0.0)
+        pos = self._slot.get((self.index_of(source), self.index_of(target)))
+        return 0.0 if pos is None else self._vals[pos]
 
     def exit_rate(self, state: State) -> float:
         """Total rate out of ``state``."""
         i = self.index_of(state)
-        return sum(rate for (src, _), rate in self._rates.items() if src == i)
+        return sum(rate for src, _, rate in self._transitions() if src == i)
 
     def generator(self) -> sparse.csr_matrix:
         """The infinitesimal generator ``Q`` as a sparse CSR matrix."""
-        if self._generator_cache is None:
+        if self._cache is None:
             n = self.n_states
             if n == 0:
                 raise ModelDefinitionError("chain has no states")
-            nnz = len(self._coo_rows)
+            nnz = len(self._rows)
             rows = np.empty(nnz + n, dtype=np.int64)
             cols = np.empty(nnz + n, dtype=np.int64)
             vals = np.empty(nnz + n, dtype=float)
-            rows[:nnz] = self._coo_rows
-            cols[:nnz] = self._coo_cols
-            vals[:nnz] = self._coo_vals
+            rows[:nnz] = self._rows
+            cols[:nnz] = self._cols
+            vals[:nnz] = self._vals
             diag = np.zeros(n)
             # In-order subtraction matches the historical per-entry
             # `diag[i] -= rate` loop bit for bit.
@@ -154,18 +166,27 @@ class CTMC:
             rows[nnz:] = np.arange(n)
             cols[nnz:] = np.arange(n)
             vals[nnz:] = diag
-            self._generator_cache = sparse.csr_matrix(
+            self._cache = sparse.csr_matrix(
                 (vals, (rows, cols)), shape=(n, n), dtype=float
             )
-        return self._generator_cache
+        return self._cache
+
+    def freeze(self) -> "SparseCTMC":
+        """The chain frozen into a :class:`~repro.sparse.SparseCTMC`.
+
+        The frozen chain shares this chain's generator and labels; later
+        :meth:`add_transition` calls do not reach it.  Like every
+        ``SparseCTMC``, its ``steady_state`` defaults to ``auto`` with
+        the reachability iterative row.
+        """
+        from ..sparse.ctmc import SparseCTMC
+
+        return SparseCTMC(self.generator(), labels=self.states)
 
     def absorbing_states(self) -> List[State]:
         """States with no outgoing transitions."""
-        sources = {i for (i, _) in self._rates}
+        sources = {i for i, _, _ in self._transitions()}
         return [state for state, i in self._index.items() if i not in sources]
-
-    def _initial_vector(self, initial) -> np.ndarray:
-        return initial_vector(initial, self.n_states, self.index_of)
 
     # ------------------------------------------------------- steady state
     def steady_state(
@@ -189,6 +210,11 @@ class CTMC:
             absorbing states and reducibility are errors under
             ``"strict"``) before solving.
         """
+        pi = self._stationary(method, diagnostics)
+        return {state: float(pi[i]) for state, i in self._index.items()}
+
+    def _stationary(self, method: str = "gth", diagnostics: str = "ignore") -> np.ndarray:
+        """:meth:`steady_state` as a vector in index order."""
         if diagnostics != "ignore":
             from ..analyze import run_diagnostics
 
@@ -196,37 +222,26 @@ class CTMC:
                 self, diagnostics, query="steady_state", where="CTMC.steady_state"
             )
         q = self.generator()
-        if method == "auto":
+        if method not in ("gth", "direct", "power"):
+            if method != "auto" and method not in STEADY_STATE:
+                raise SolverError(f"unknown steady-state method {method!r}")
+            # ``auto`` and the other registry backends (gmres, bicgstab,
+            # third-party) run through the guarded fallback front door.
             from .fallback import solve_steady_state
 
-            pi = solve_steady_state(q, method="auto").pi
-            return {state: float(pi[i]) for state, i in self._index.items()}
-        if method == "gth":
-            check_gth_size(self.n_states)
-        kernels = {
-            "gth": lambda: gth_solve(q.toarray()),
-            "direct": lambda: steady_state_direct(q),
-            "power": lambda: steady_state_power(q),
-        }
-        if method not in kernels:
-            if method in STEADY_STATE:
-                # Registry backends (gmres, bicgstab, third-party) run
-                # through the guarded fallback front door as a
-                # single-stage chain.
-                from .fallback import solve_steady_state
-
-                pi = solve_steady_state(q, method=method).pi
-                return {state: float(pi[i]) for state, i in self._index.items()}
-            raise SolverError(f"unknown steady-state method {method!r}")
+            return solve_steady_state(q, method=method).pi
+        # The single registered stage, unguarded; its pre-check refuses
+        # GTH above the policy's size row before densifying.
+        stage = STEADY_STATE.get(method)
         tracer = get_tracer()
         with tracer.span(
             "solver.steady_state", method=method, route="method", n_states=self.n_states
         ):
             with tracer.span("solver.stage", method=method) as span:
-                pi = kernels[method]()
+                pi = stage(q)
                 span.set(success=True)
             tracer.metrics.counter("solver.stage.success", method=method).inc()
-        return {state: float(pi[i]) for state, i in self._index.items()}
+        return pi
 
     def steady_state_report(self, method: str = "auto", **kwargs):
         """Stationary solve with full fallback diagnostics.
@@ -379,7 +394,7 @@ class CTMC:
         """Sub-chain over ``keep``; transitions leaving the set are dropped."""
         keep_set = set(keep)
         chain = CTMC(states=[s for s in self._states if s in keep_set])
-        for (i, j), rate in self._rates.items():
+        for i, j, rate in self._transitions():
             src, dst = self._states[i], self._states[j]
             if src in keep_set and dst in keep_set:
                 chain.add_transition(src, dst, rate)
@@ -389,7 +404,7 @@ class CTMC:
         """Copy of the chain with the given states made absorbing."""
         absorbing_set = set(absorbing)
         chain = CTMC(states=self._states)
-        for (i, j), rate in self._rates.items():
+        for i, j, rate in self._transitions():
             src = self._states[i]
             if src in absorbing_set:
                 continue
@@ -397,76 +412,149 @@ class CTMC:
         return chain
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"CTMC(n_states={self.n_states}, n_transitions={len(self._rates)})"
+        return f"CTMC(n_states={self.n_states}, n_transitions={len(self._rows)})"
 
 
-class MarkovDependabilityModel(DependabilityModel):
-    """Dependability measures of a CTMC with designated up states.
+def _sparse_mean_passage_time(
+    q: sparse.spmatrix, p0: np.ndarray, targets: np.ndarray
+) -> float:
+    """Mean first-passage time into ``targets`` on a CSR generator.
 
-    Bridges a :class:`CTMC` into the common
-    :class:`~repro.core.model.DependabilityModel` interface:
+    Sparse counterpart of :meth:`CTMC.mean_time_to_absorption`: solve
+    ``τᵀ Q_TT = -p0ᵀ`` on the non-target (transient) block with SuperLU
+    instead of densifying.
+    """
+    transient = np.flatnonzero(~targets)
+    if transient.size == 0:
+        return 0.0
+    q = sparse.csr_matrix(q, dtype=float)
+    sub = q[transient][:, transient]
+    p0_t = np.asarray(p0, dtype=float)[transient]
+    if p0_t.sum() <= 0.0:
+        return 0.0
+    try:
+        tau = sparse_linalg.spsolve(sparse.csc_matrix(sub.transpose()), -p0_t)
+    except RuntimeError as exc:  # pragma: no cover - SuperLU failure path
+        raise SolverError(f"sparse first-passage solve failed: {exc}") from exc
+    if not np.all(np.isfinite(tau)):
+        raise SolverError(
+            "singular transient block: some transient state cannot reach the target set"
+        )
+    if np.any(tau < -1e-9):
+        raise SolverError("negative expected sojourn time; chain structure is inconsistent")
+    return float(tau.sum())
 
-    * availability measures come from the chain as given (repairs
-      included);
-    * reliability measures come from a derived chain in which every down
-      state is absorbing (first system failure ends the mission).
+
+class ChainDependabilityModel(DependabilityModel):
+    """The dependability measures of a chain with designated up states.
+
+    One implementation of availability, interval availability,
+    reliability and MTTF for every chain-backed model.  It works over a
+    CSR generator, the up-state indices, an initial vector and the
+    chain's own stationary solve; subclasses only turn labels or
+    predicates into those inputs.
+
+    * Availability measures come from the chain as given (repairs
+      included); interval availability integrates it exactly by
+      cumulative uniformization.
+    * Reliability measures come from the generator with the down rows
+      zeroed, so the first system failure ends the mission.
+    * Up-state probabilities are summed in the order ``up`` lists them,
+      so results never depend on set or hash order.
 
     Parameters
     ----------
-    chain:
-        The availability CTMC.
-    up_states:
-        States in which the system is considered operational.
+    generator:
+        The ``(n, n)`` CSR generator.
+    up:
+        Up-state indices, in summation order.
     initial:
-        Initial state label or distribution.
+        Initial probability vector (length ``n``).
+    stationary:
+        Zero-argument callable returning the stationary vector (index
+        order) by the chain's own steady-state route.
     """
 
-    def __init__(self, chain: CTMC, up_states: Iterable[State], initial):
-        self.chain = chain
-        self.up_states = set(up_states)
-        unknown = [s for s in self.up_states if s not in set(chain.states)]
-        if unknown:
-            raise ModelDefinitionError(f"up states not in the chain: {unknown}")
-        if not self.up_states:
-            raise ModelDefinitionError("at least one up state is required")
-        self.initial = initial
-        self._down_states = [s for s in chain.states if s not in self.up_states]
-        self._reliability_chain = chain.with_absorbing(self._down_states)
+    def __init__(self, generator, up, initial: np.ndarray, stationary):
+        self._q = generator
+        self._up = np.asarray(up, dtype=np.intp)
+        self._p0 = initial
+        self._stationary = stationary
+
+    def _up_probability(self, probs: np.ndarray):
+        return probs[..., self._up].sum(axis=-1)
+
+    def _transient_up(self, generator, t):
+        scalar = np.isscalar(t)
+        ts = np.atleast_1d(np.asarray(t, dtype=float))
+        out = self._up_probability(solve_transient(generator, self._p0, ts))
+        return float(out[0]) if scalar else out
 
     def availability(self, t):
         """Point availability ``A(t) = Σ_{s up} π_s(t)``."""
-        scalar = np.isscalar(t)
-        ts = np.atleast_1d(np.asarray(t, dtype=float))
-        probs = self.chain.transient(ts, self.initial)
-        idx = [self.chain.index_of(s) for s in self.up_states]
-        out = probs[:, idx].sum(axis=1)
-        return float(out[0]) if scalar else out
+        return self._transient_up(self._q, t)
 
     def steady_state_availability(self) -> float:
         """Long-run availability ``Σ_{s up} π_s``."""
-        pi = self.chain.steady_state()
-        return sum(pi[s] for s in self.up_states)
+        return float(self._up_probability(self._stationary()))
 
     def interval_availability(self, t) -> float:
         """Expected fraction of ``[0, t]`` up, via cumulative uniformization."""
         t = float(t)
         if t <= 0:
             raise SolverError("interval availability requires t > 0")
-        cumulative = self.chain.cumulative_transient([t], self.initial)[0]
-        idx = [self.chain.index_of(s) for s in self.up_states]
-        return float(cumulative[idx].sum()) / t
+        cumulative = cumulative_uniformization(self._q, self._p0, [t])[0]
+        return float(self._up_probability(cumulative)) / t
+
+    def _down_mask(self) -> np.ndarray:
+        down = np.ones(self._q.shape[0], dtype=bool)
+        down[self._up] = False
+        return down
 
     def reliability(self, t):
         """Probability of no system failure in ``[0, t]``."""
-        scalar = np.isscalar(t)
-        ts = np.atleast_1d(np.asarray(t, dtype=float))
-        probs = self._reliability_chain.transient(ts, self.initial)
-        idx = [self._reliability_chain.index_of(s) for s in self.up_states]
-        out = probs[:, idx].sum(axis=1)
-        return float(out[0]) if scalar else out
+        # Zero the down rows: down states become absorbing.
+        keep = sparse.diags((~self._down_mask()).astype(float))
+        return self._transient_up((keep @ self._q).tocsr(), t)
 
     def mttf(self) -> float:
-        """Mean time to first system failure."""
-        return self._reliability_chain.mean_time_to_absorption(
-            self.initial, absorbing=self._down_states
+        """Mean time to the first down state."""
+        down = self._down_mask()
+        if not down.any():
+            raise StateSpaceError("chain has no down states; MTTF is infinite")
+        return _sparse_mean_passage_time(self._q, self._p0, down)
+
+
+class MarkovDependabilityModel(ChainDependabilityModel):
+    """Dependability measures of a :class:`CTMC` with designated up states.
+
+    Steady-state availability uses the chain's own solve
+    (:meth:`CTMC.steady_state`, GTH by default); see
+    :class:`ChainDependabilityModel` for the measures.
+
+    Parameters
+    ----------
+    chain:
+        The availability CTMC.
+    up_states:
+        States in which the system is considered operational; their
+        probabilities are summed in the order given.
+    initial:
+        Initial state label or distribution.
+    """
+
+    def __init__(self, chain: CTMC, up_states: Iterable[State], initial):
+        self.chain = chain
+        self.up_states = list(dict.fromkeys(up_states))
+        unknown = [s for s in self.up_states if s not in chain._index]
+        if unknown:
+            raise ModelDefinitionError(f"up states not in the chain: {unknown}")
+        if not self.up_states:
+            raise ModelDefinitionError("at least one up state is required")
+        self.initial = initial
+        super().__init__(
+            chain.generator(),
+            [chain.index_of(s) for s in self.up_states],
+            chain._initial_vector(initial),
+            chain._stationary,
         )

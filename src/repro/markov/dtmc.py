@@ -13,8 +13,9 @@ from typing import Dict, Hashable, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from .._validation import check_probability, initial_vector
+from .._validation import check_probability
 from ..exceptions import ModelDefinitionError, SolverError, StateSpaceError
+from .ctmc import _LabelledChain
 from .solvers import gth_solve
 
 __all__ = ["DTMC"]
@@ -22,7 +23,7 @@ __all__ = ["DTMC"]
 State = Hashable
 
 
-class DTMC:
+class DTMC(_LabelledChain):
     """A finite discrete-time Markov chain with labelled states.
 
     Examples
@@ -37,47 +38,11 @@ class DTMC:
     0.714286
     """
 
-    def __init__(self, states: Iterable[State] = ()):
-        self._states: List[State] = []
-        self._index: Dict[State, int] = {}
-        self._probs: Dict[Tuple[int, int], float] = {}
-        for state in states:
-            self.add_state(state)
-
-    # --------------------------------------------------------------- build
-    def add_state(self, state: State) -> "DTMC":
-        """Register a state (no-op when already present)."""
-        if state not in self._index:
-            self._index[state] = len(self._states)
-            self._states.append(state)
-        return self
-
     def add_transition(self, source: State, target: State, probability: float) -> "DTMC":
         """Add (or accumulate) a one-step transition probability."""
         check_probability(probability, "transition probability")
-        self.add_state(source)
-        self.add_state(target)
-        key = (self._index[source], self._index[target])
-        self._probs[key] = self._probs.get(key, 0.0) + float(probability)
+        self._accumulate(source, target, float(probability))
         return self
-
-    # -------------------------------------------------------------- access
-    @property
-    def states(self) -> List[State]:
-        """State labels in index order."""
-        return list(self._states)
-
-    @property
-    def n_states(self) -> int:
-        """Number of states."""
-        return len(self._states)
-
-    def index_of(self, state: State) -> int:
-        """Index of a state label."""
-        try:
-            return self._index[state]
-        except KeyError:
-            raise ModelDefinitionError(f"unknown state: {state!r}") from None
 
     def transition_matrix(self, validate: bool = True) -> np.ndarray:
         """Dense one-step transition matrix ``P``.
@@ -90,8 +55,7 @@ class DTMC:
         if n == 0:
             raise ModelDefinitionError("chain has no states")
         p = np.zeros((n, n))
-        for (i, j), prob in self._probs.items():
-            p[i, j] += prob
+        p[self._rows, self._cols] = self._vals
         row_sums = p.sum(axis=1)
         for i in range(n):
             if row_sums[i] == 0.0:
@@ -106,9 +70,6 @@ class DTMC:
         """States whose only move is the implicit (or explicit) self-loop."""
         p = self.transition_matrix()
         return [self._states[i] for i in range(self.n_states) if p[i, i] >= 1.0 - 1e-12]
-
-    def _initial_vector(self, initial) -> np.ndarray:
-        return initial_vector(initial, self.n_states, self.index_of)
 
     # ------------------------------------------------------------ analysis
     def steady_state(self) -> Dict[State, float]:
@@ -191,4 +152,4 @@ class DTMC:
         return {self._states[idx]: float(visits[pos]) for pos, idx in enumerate(transient)}
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"DTMC(n_states={self.n_states}, n_transitions={len(self._probs)})"
+        return f"DTMC(n_states={self.n_states}, n_transitions={len(self._rows)})"

@@ -20,11 +20,9 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, Dict, Optional
 
 import numpy as np
-from scipy import sparse as _sp
-from scipy.sparse import linalg as _spla
 
-from ..core.model import DependabilityModel
-from ..exceptions import ModelDefinitionError, SolverError, StateSpaceError
+from ..exceptions import ModelDefinitionError, StateSpaceError
+from ..markov.ctmc import ChainDependabilityModel, _sparse_mean_passage_time
 from .net import Marking, PetriNet
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -193,44 +191,15 @@ class StochasticRewardNet:
         return _sparse_mean_passage_time(chain.generator(), chain.initial_vector, targets)
 
 
-def _sparse_mean_passage_time(
-    q: _sp.spmatrix, p0: np.ndarray, targets: np.ndarray
-) -> float:
-    """Mean first-passage time into ``targets`` on a CSR generator.
-
-    Sparse counterpart of :meth:`CTMC.mean_time_to_absorption`: solve
-    ``τᵀ Q_TT = -p0ᵀ`` on the non-target (transient) block with SuperLU
-    instead of densifying.
-    """
-    transient = np.flatnonzero(~targets)
-    if transient.size == 0:
-        return 0.0
-    q = _sp.csr_matrix(q, dtype=float)
-    sub = q[transient][:, transient]
-    p0_t = np.asarray(p0, dtype=float)[transient]
-    if p0_t.sum() <= 0.0:
-        return 0.0
-    try:
-        tau = _spla.spsolve(_sp.csc_matrix(sub.transpose()), -p0_t)
-    except RuntimeError as exc:  # pragma: no cover - SuperLU failure path
-        raise SolverError(f"sparse first-passage solve failed: {exc}") from exc
-    if not np.all(np.isfinite(tau)):
-        raise SolverError(
-            "singular transient block: some transient marking cannot reach the target set"
-        )
-    if np.any(tau < -1e-9):
-        raise SolverError("negative expected sojourn time; chain structure is inconsistent")
-    return float(tau.sum())
-
-
-class SRNDependabilityModel(DependabilityModel):
+class SRNDependabilityModel(ChainDependabilityModel):
     """Dependability adapter: an SRN plus an up-condition predicate.
 
-    The up/down classification is a boolean mask over the interned
-    states (the chain's own ``up`` mask when the SRN was built with
-    one), and the reliability chain is a CSR row-masked copy of the
-    generator (down states made absorbing) — no marking dicts are ever
-    built.
+    The up states are the interned states the predicate accepts (the
+    chain's own ``up`` mask when the SRN was built with one), in state
+    order; steady-state availability uses the generated chain's own
+    solve (:meth:`~repro.sparse.SparseCTMC.steady_state`).  See
+    :class:`~repro.markov.ctmc.ChainDependabilityModel` for the
+    measures — no marking dicts are ever built.
 
     Parameters
     ----------
@@ -251,38 +220,6 @@ class SRNDependabilityModel(DependabilityModel):
             )
         if not mask.any():
             raise ModelDefinitionError("no reachable marking satisfies the up condition")
-        self._up_mask = mask
-
-    def availability(self, t):
-        """Point availability ``P[up at t]``."""
-        scalar = np.isscalar(t)
-        ts = np.atleast_1d(np.asarray(t, dtype=float))
-        probs = self.srn.chain.transient(ts)
-        out = probs[:, self._up_mask].sum(axis=1)
-        return float(out[0]) if scalar else out
-
-    def steady_state_availability(self) -> float:
-        """Long-run probability of an up marking."""
-        pi = self.srn.chain.steady_state()
-        return float(pi[self._up_mask].sum())
-
-    def reliability(self, t):
-        """Probability of staying in up markings throughout ``[0, t]``."""
-        from ..markov.solvers import solve_transient
-
-        scalar = np.isscalar(t)
-        ts = np.atleast_1d(np.asarray(t, dtype=float))
-        chain = self.srn.chain
-        # Zero the down rows: down markings become absorbing.
-        keep = _sp.diags(self._up_mask.astype(float))
-        absorbed = (keep @ chain.generator()).tocsr()
-        probs = solve_transient(absorbed, chain.initial_vector, ts)
-        out = probs[:, self._up_mask].sum(axis=1)
-        return float(out[0]) if scalar else out
-
-    def mttf(self) -> float:
-        """Mean time to the first down marking."""
-        chain = self.srn.chain
-        return _sparse_mean_passage_time(
-            chain.generator(), chain.initial_vector, ~self._up_mask
+        super().__init__(
+            chain.generator(), np.flatnonzero(mask), chain.initial_vector, chain.steady_state
         )

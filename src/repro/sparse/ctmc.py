@@ -1,8 +1,9 @@
 """The large-state-space CTMC model object (CSR generator + state index).
 
 :class:`SparseCTMC` is the structure-frozen counterpart of
-:class:`repro.markov.CTMC` for chains too large to build through
-per-state dicts: the generator lives in one CSR matrix, states are
+:class:`repro.markov.CTMC` (what :meth:`~repro.markov.CTMC.freeze`
+returns) and the form of chains too large to build through per-state
+dicts: the generator lives in one CSR matrix, states are
 integer indices, and labels (Petri-net markings, tuples, strings) are
 attached lazily and only materialized on demand.  It converges with the
 rest of the library through the *same* front doors as every other
@@ -96,18 +97,7 @@ class SparseCTMC:
             )
         self._labels = labels
         self._label_index: Optional[Dict[Hashable, int]] = None
-        if initial is None:
-            self._initial = None
-        else:
-            p0 = np.asarray(initial, dtype=float)
-            if p0.shape != (n,):
-                raise ModelDefinitionError(
-                    f"initial vector has shape {p0.shape}, expected ({n},)"
-                )
-            total = p0.sum()
-            if not np.isfinite(total) or abs(total - 1.0) > 1e-9 or p0.min() < 0:
-                raise ModelDefinitionError("initial must be a probability vector")
-            self._initial = p0
+        self._initial = None if initial is None else self._probability_vector(initial)
         if up is None:
             self._up = None
         else:
@@ -117,6 +107,19 @@ class SparseCTMC:
                     f"up mask has shape {mask.shape}, expected ({n},)"
                 )
             self._up = mask
+
+    def _probability_vector(self, initial) -> np.ndarray:
+        """``initial`` as a checked length-``n`` probability vector."""
+        n = self.n_states
+        p0 = np.asarray(initial, dtype=float)
+        if p0.shape != (n,):
+            raise ModelDefinitionError(
+                f"initial vector has shape {p0.shape}, expected ({n},)"
+            )
+        total = p0.sum()
+        if not np.isfinite(total) or abs(total - 1.0) > 1e-9 or p0.min() < 0:
+            raise ModelDefinitionError("initial must be a probability vector")
+        return p0
 
     # ------------------------------------------------------------ structure
     @property
@@ -216,6 +219,9 @@ class SparseCTMC:
     ) -> np.ndarray:
         """Transient state probabilities at ``times`` (shape ``(len, n)``).
 
+        ``initial`` defaults to :attr:`initial_vector`; a given vector is
+        checked like the constructor's.
+
         ``method`` accepts every registered transient backend —
         ``"auto"``, ``"uniformization"``, ``"krylov"``, ``"ode"``, … —
         with auto selecting Krylov stepping above the large-state
@@ -225,7 +231,7 @@ class SparseCTMC:
 
         scalar = np.isscalar(times)
         ts = np.atleast_1d(np.asarray(times, dtype=float))
-        p0 = self.initial_vector if initial is None else np.asarray(initial, dtype=float)
+        p0 = self.initial_vector if initial is None else self._probability_vector(initial)
         out = solve_transient(
             self._q, p0, ts, method=method, diagnostics=diagnostics, **kwargs
         )
@@ -279,37 +285,6 @@ class SparseCTMC:
                 "new parameter values"
             )
         return self.availability()
-
-    # ---------------------------------------------------------- conversions
-    @classmethod
-    def from_ctmc(cls, chain, **kwargs: Any) -> "SparseCTMC":
-        """Freeze a dict-built :class:`repro.markov.CTMC` into sparse form."""
-        q = chain.generator()
-        return cls(q, labels=list(chain.states), **kwargs)
-
-    def to_ctmc(self):
-        """Materialize a dict-built :class:`repro.markov.CTMC` (small chains only).
-
-        Refuses above 10 000 states: the per-state dicts it would build
-        are the exact cost this class avoids.
-        """
-        n = self.n_states
-        if n > 10_000:
-            raise ModelDefinitionError(
-                f"refusing to materialize a dict-built CTMC with {n} states; "
-                "use the SparseCTMC solvers directly"
-            )
-        from ..markov.ctmc import CTMC
-
-        labels = list(self.states)
-        chain = CTMC()
-        for lbl in labels:
-            chain.add_state(lbl)
-        coo = self._q.tocoo()
-        for i, j, v in zip(coo.row, coo.col, coo.data):
-            if i != j and v > 0.0:
-                chain.add_transition(labels[i], labels[j], float(v))
-        return chain
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

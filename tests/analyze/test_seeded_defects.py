@@ -114,7 +114,7 @@ class TestChainStructure:
         )
         # add_transition validates on the way in, so seed the defect by
         # mutation — exactly what a hand-edited model file would produce.
-        dtmc._probs[(0, 1)] = 0.9
+        dtmc._vals[dtmc._slot[(0, 1)]] = 0.9
         d = find(analyze(dtmc), "M110")
         assert d.severity == "error"
         assert "'a'" in d.message

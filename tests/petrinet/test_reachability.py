@@ -26,10 +26,10 @@ class TestTangibleGraph:
 
     def test_generated_rates(self):
         result = build_sparse_reachability(mm1k(K=2, lam=1.5, mu=3.0))
-        chain = result.chain.to_ctmc()
-        states = {m["queue"]: m for m in chain.states}
-        assert chain.rate(states[0], states[1]) == pytest.approx(1.5)
-        assert chain.rate(states[1], states[0]) == pytest.approx(3.0)
+        q = result.chain.generator()
+        index = {m["queue"]: i for i, m in enumerate(result.chain.states)}
+        assert q[index[0], index[1]] == pytest.approx(1.5)
+        assert q[index[1], index[0]] == pytest.approx(3.0)
 
     def test_initial_distribution_tangible(self):
         result = build_sparse_reachability(mm1k())
@@ -57,9 +57,9 @@ class TestTangibleGraph:
         net.add_output_arc("repair", "up")
         result = build_sparse_reachability(net)
         assert len(result.tangible) == n + 1
-        chain = result.chain.to_ctmc()
-        states = {m["up"]: m for m in chain.states}
-        assert chain.rate(states[3], states[2]) == pytest.approx(0.3)
+        q = result.chain.generator()
+        index = {m["up"]: i for i, m in enumerate(result.chain.states)}
+        assert q[index[3], index[2]] == pytest.approx(0.3)
 
 
 class TestVanishingElimination:
@@ -96,12 +96,13 @@ class TestVanishingElimination:
     def test_split_rates(self):
         c = 0.9
         result = build_sparse_reachability(self.coverage_net(c))
-        chain = result.chain.to_ctmc()
-        up = next(m for m in chain.states if m["up"] == 1)
-        covered = next(m for m in chain.states if m["covered"] == 1)
-        uncovered = next(m for m in chain.states if m["uncovered"] == 1)
-        assert chain.rate(up, covered) == pytest.approx(1.0 * c)
-        assert chain.rate(up, uncovered) == pytest.approx(1.0 * (1 - c))
+        q = result.chain.generator()
+        states = list(result.chain.states)
+        up = next(i for i, m in enumerate(states) if m["up"] == 1)
+        covered = next(i for i, m in enumerate(states) if m["covered"] == 1)
+        uncovered = next(i for i, m in enumerate(states) if m["uncovered"] == 1)
+        assert q[up, covered] == pytest.approx(1.0 * c)
+        assert q[up, uncovered] == pytest.approx(1.0 * (1 - c))
 
     def test_steady_state_matches_hand_ctmc(self):
         c = 0.9

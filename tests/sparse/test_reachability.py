@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 from repro.exceptions import StateSpaceError
-from repro.petrinet import PetriNet, StochasticRewardNet
+from repro.markov import MarkovDependabilityModel
+from repro.petrinet import PetriNet, SRNDependabilityModel, StochasticRewardNet
 from repro.petrinet.templates import (
     machine_repairman,
     queue_with_breakdowns,
@@ -211,6 +212,18 @@ class TestLazySRNMeasures:
         )
         lazy = StochasticRewardNet(net).mean_time_to(lambda m: m["up"] == 0)
         assert lazy == pytest.approx(eager, rel=1e-8)
+
+    def test_interval_availability_matches_eager(self):
+        net = machine_repairman(40, 0.1, 1.0)
+        reference = reference_reachability(net)
+        up = [m for m in reference.chain.states if m["up"] >= 20]
+        eager = MarkovDependabilityModel(
+            reference.chain, up, reference.initial
+        ).interval_availability(10.0)
+        lazy = SRNDependabilityModel(
+            StochasticRewardNet(net), lambda m: m["up"] >= 20
+        ).interval_availability(10.0)
+        assert lazy == pytest.approx(eager, abs=1e-10)
 
     def test_transient_reward_matches_eager(self):
         net = mm1k()

@@ -86,6 +86,13 @@ class TestSolving:
         expected = dict_two_state().transient(ts, {"up": 1.0})
         np.testing.assert_allclose(probs, expected, atol=1e-10)
 
+    def test_transient_initial_checked_like_constructor(self):
+        chain = two_state()
+        with pytest.raises(ModelDefinitionError, match="probability"):
+            chain.transient(1.0, initial=np.array([0.5, 0.2]))
+        with pytest.raises(ModelDefinitionError, match="shape"):
+            chain.transient(1.0, initial=np.array([1.0]))
+
     def test_scalar_time_yields_vector(self):
         out = two_state().transient(1.0)
         assert out.shape == (2,)
@@ -126,24 +133,14 @@ class TestRewards:
             chain({"lam": 2.0})
 
 
-class TestConversions:
-    def test_from_ctmc_round_trip(self):
-        chain = SparseCTMC.from_ctmc(dict_two_state())
+class TestFreeze:
+    def test_freeze_round_trip(self):
+        source = dict_two_state()
+        chain = source.freeze()
+        assert isinstance(chain, SparseCTMC)
         assert list(chain.states) == ["up", "down"]
-        pi_vec = chain.steady_state()
-        pi_dict = dict_two_state().steady_state()
-        assert pi_vec[0] == pytest.approx(pi_dict["up"], rel=1e-10)
-
-    def test_to_ctmc_round_trip(self):
-        back = two_state().to_ctmc()
-        expected = dict_two_state().steady_state()
-        got = back.steady_state()
+        assert (chain.generator() != source.generator()).nnz == 0
+        expected = source.steady_state()
+        got = dict(zip(chain.states, chain.steady_state()))
         for label in ("up", "down"):
             assert got[label] == pytest.approx(expected[label], rel=1e-10)
-
-    def test_to_ctmc_refuses_large(self):
-        n = 10_001
-        diag = sparse.diags([-1.0] * n)
-        chain = SparseCTMC(diag + sparse.eye(n, k=1) * 0)
-        with pytest.raises(ModelDefinitionError, match="refusing"):
-            chain.to_ctmc()

@@ -81,6 +81,12 @@ for workload in serve-mixed campaign-store sparse-sweep; do
 done
 
 if [ "${1:-}" != "--no-tests" ]; then
+    echo "== hash seed (pinned digests and dependability measures under PYTHONHASHSEED=1) =="
+    # An ordering dependence on set or dict hash order fails here instead
+    # of hiding behind the default seed.
+    PYTHONHASHSEED=1 python -m pytest -q tests/markov/test_policy_bit_identity.py \
+        tests/markov/test_hash_seed.py || status=1
+
     echo "== pytest =="
     python -m pytest -q || status=1
 fi
