@@ -1,7 +1,8 @@
 """Analyzer passes for compiled models (:mod:`repro.compile`).
 
-:func:`validate_terms` is the shared strict walk —
-:meth:`CompiledCTMC.validate` delegates to it, so the raise-mode contract
+:func:`validate_terms` is the shared strict walk — it lives next to the
+term types in :mod:`repro.compile.ctmc` and :meth:`CompiledCTMC.validate`
+delegates to it, so the raise-mode contract
 (a ``KeyError`` for a missing parameter, the ``check_rate``
 :class:`~repro.exceptions.DistributionError` for a bad value, in term
 order) cannot drift between the fill path and the lint.  The collect-mode
@@ -15,6 +16,7 @@ from __future__ import annotations
 from typing import List, Mapping, Optional, Tuple
 
 from .._validation import check_rate
+from ..compile.ctmc import term_parameters, validate_terms
 from ..exceptions import DistributionError
 from .diagnostics import Diagnostic
 
@@ -24,41 +26,6 @@ __all__ = [
     "lint_compiled_ctmc",
     "lint_compiled_evaluator",
 ]
-
-
-def validate_terms(terms, values: Mapping[str, float]) -> None:
-    """Strict per-term rate check, shared with :meth:`CompiledCTMC.validate`.
-
-    ``terms`` is a compiled chain's interned term list.  Raises exactly
-    what :meth:`CompiledCTMC.fill` would raise, in the same order:
-    ``KeyError`` when a term reads an unsupplied parameter,
-    :class:`~repro.exceptions.DistributionError` when a rate is not
-    positive and finite.
-    """
-    for term in terms:
-        check_rate(term(values))
-
-
-def term_parameters(term) -> Tuple[str, ...]:
-    """Parameter names one rate term reads, in first-use order."""
-    from ..compile.ctmc import Complement, Param, Scaled, Sum, Times
-
-    names: dict = {}
-
-    def walk(t) -> None:
-        if isinstance(t, (Param, Scaled)):
-            names.setdefault(t.name)
-        elif isinstance(t, Times):
-            walk(t.left)
-            walk(t.right)
-        elif isinstance(t, Complement):
-            walk(t.term)
-        elif isinstance(t, Sum):
-            for part in t.terms:
-                walk(part)
-
-    walk(term)
-    return tuple(names)
 
 
 def lint_compiled_ctmc(

@@ -28,8 +28,8 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
+from .._kernels import POLICY
 from ..exceptions import ModelDiagnosticError
-from ..markov.registry import POLICY
 
 __all__ = [
     "ERROR",

@@ -24,7 +24,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import csgraph
 
-from ..markov.registry import POLICY
+from .._kernels import POLICY
 from .diagnostics import ERROR, Diagnostic
 
 __all__ = [

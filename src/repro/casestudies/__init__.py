@@ -13,19 +13,13 @@ regenerates:
 * :mod:`~repro.casestudies.wfs` — workstations & file server (E15)
 * :mod:`~repro.casestudies.telecom` — switching-system call-loss DPM
 * :mod:`~repro.casestudies.nfvchain` — scalable NFV service chain (E37)
+
+Each module is imported on first access (``from repro.casestudies import
+cisco`` or ``repro.casestudies.cisco``), so loading one case study does
+not load the others and their solver stacks.
 """
 
-from . import (
-    bladecenter,
-    boeing,
-    cisco,
-    nfvchain,
-    rejuvenation,
-    sip,
-    sun,
-    telecom,
-    wfs,
-)
+from typing import TYPE_CHECKING
 
 __all__ = [
     "cisco",
@@ -38,3 +32,20 @@ __all__ = [
     "telecom",
     "nfvchain",
 ]
+
+
+def __getattr__(name: str):
+    """Import a case-study module on first access (PEP 562)."""
+    if name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+
+    return importlib.import_module(f"{__name__}.{name}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))
+
+
+if TYPE_CHECKING:  # pragma: no cover - static analysis only
+    from . import bladecenter, boeing, cisco, nfvchain, rejuvenation, sip, sun, telecom, wfs

@@ -21,14 +21,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Dict, List, Mapping, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Tuple
 
 from ..core.hierarchy import HierarchicalModel, Submodel, export_availability
 from ..core.model import DependabilityModel
 from ..exceptions import ModelDefinitionError
-from ..markov.ctmc import CTMC, MarkovDependabilityModel
 from ..nonstate.components import Component
 from ..nonstate.rbd import ReliabilityBlockDiagram, parallel, series
+
+if TYPE_CHECKING:  # pragma: no cover - static analysis only
+    from ..markov.ctmc import MarkovDependabilityModel
 
 __all__ = [
     "BladeCenterParameters",
@@ -75,6 +77,10 @@ def build_redundant_pair(
     With ``shared_repair`` a single repair crew serves both units — the
     dependency RBDs cannot express and the reason these leaves are CTMCs.
     """
+    # Imported here: the chain stack loads scipy, which the compiled
+    # evaluator of this case study never needs.
+    from ..markov.ctmc import CTMC, MarkovDependabilityModel
+
     chain = CTMC()
     chain.add_transition(2, 1, 2.0 * failure_rate)
     chain.add_transition(1, 0, failure_rate)
@@ -85,6 +91,8 @@ def build_redundant_pair(
 
 def build_raid_pair(params: BladeCenterParameters) -> MarkovDependabilityModel:
     """RAID-1 disk pair: fast rebuild after a single failure."""
+    from ..markov.ctmc import CTMC, MarkovDependabilityModel
+
     chain = CTMC()
     chain.add_transition(2, 1, 2.0 * params.disk_failure_rate)
     chain.add_transition(1, 0, params.disk_failure_rate)

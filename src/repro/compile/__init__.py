@@ -24,7 +24,13 @@ Separates **symbolic structure** (built once) from **numeric fill**
 All compiled paths are bit-identical to their uncompiled counterparts
 (warm-started ``sweep`` chains are the documented tolerance-level
 exception); see ``docs/PERFORMANCE.md`` for when compilation pays off.
+
+The sparse front end (:mod:`repro.compile.sparse`) is imported on first
+use, so ``import repro.compile`` and the small-chain evaluators load
+neither ``scipy.sparse`` nor ``scipy.linalg``.
 """
+
+from typing import TYPE_CHECKING
 
 from .ctmc import CompiledCTMC, Complement, Const, Param, RateTerm, Scaled, Times
 from .model import (
@@ -36,8 +42,16 @@ from .model import (
     compile_model,
     supports_compilation,
 )
-from .sparse import CompiledNFVChain, CompiledSparseCTMC, SweepStats, continuation_order
 from .structure import CompiledStructureFunction
+
+#: names resolved on first access (PEP 562): the sparse front end loads
+#: scipy, which the small-chain sweep path never needs
+_LAZY = {
+    "CompiledNFVChain": "repro.compile.sparse",
+    "CompiledSparseCTMC": "repro.compile.sparse",
+    "SweepStats": "repro.compile.sparse",
+    "continuation_order": "repro.compile.sparse",
+}
 
 __all__ = [
     "RateTerm",
@@ -60,3 +74,23 @@ __all__ = [
     "supports_compilation",
     "continuation_order",
 ]
+
+
+def __getattr__(name: str):
+    """Resolve a lazily imported export on first access (PEP 562)."""
+    import importlib
+
+    module_name = _LAZY.get(name)
+    if module_name is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module_name), name)
+    globals()[name] = value  # cache: next access skips __getattr__
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))
+
+
+if TYPE_CHECKING:  # pragma: no cover - static analysis only
+    from .sparse import CompiledNFVChain, CompiledSparseCTMC, SweepStats, continuation_order

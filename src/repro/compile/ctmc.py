@@ -18,8 +18,14 @@ with one core shared by both compiled chains:
 * one bounded memo serves repeated points.
 
 :class:`CompiledCTMC` is the labelled front end for small chains: GTH
-runs on a dense matrix scattered from the filled ``data`` and
-:meth:`~CompiledCTMC.transient` runs on the CSR generator.  The
+runs on a dense matrix scattered from the filled ``data``,
+:meth:`~CompiledCTMC.steady_state_many` fills whole parameter columns
+into an ``(m, n, n)`` stack and eliminates it in one
+:func:`~repro._kernels.gth_eliminate` pass (bit-identical to ``m``
+single solves), and :meth:`~CompiledCTMC.transient` runs on the CSR
+generator.  The small-chain path imports numpy only: the CSR pattern is
+built without scipy, and scipy loads only when a caller asks for the
+CSR matrix (:meth:`~_FrozenChain.generator`) or a transient.  The
 large-state-space front end is
 :class:`~repro.compile.sparse.CompiledSparseCTMC`.
 
@@ -40,15 +46,13 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Callable, Dict, Hashable, List, Mapping, Sequence, Tuple
+from typing import Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import sparse
 
+from .._kernels import check_gth_size, gth_eliminate
 from .._validation import check_rate, initial_vector
-from ..exceptions import ModelDefinitionError
-from ..markov.registry import check_gth_size
-from ..markov.solvers import gth_solve, solve_transient
+from ..exceptions import ModelDefinitionError, SolverError
 from ..obs.trace import get_tracer
 
 __all__ = [
@@ -60,6 +64,8 @@ __all__ = [
     "Complement",
     "Sum",
     "CompiledCTMC",
+    "term_parameters",
+    "validate_terms",
 ]
 
 State = Hashable
@@ -154,6 +160,55 @@ class Sum(RateTerm):
         return total
 
 
+def term_parameters(term: RateTerm) -> Tuple[str, ...]:
+    """Parameter names one rate term reads, in first-use order."""
+    names: Dict[str, None] = {}
+
+    def walk(t: RateTerm) -> None:
+        if isinstance(t, (Param, Scaled)):
+            names.setdefault(t.name)
+        elif isinstance(t, Times):
+            walk(t.left)
+            walk(t.right)
+        elif isinstance(t, Complement):
+            walk(t.term)
+        elif isinstance(t, Sum):
+            for part in t.terms:
+                walk(part)
+
+    walk(term)
+    return tuple(names)
+
+
+def validate_terms(terms: Sequence[RateTerm], values: Mapping[str, float]) -> None:
+    """Strict per-term rate check, shared with :meth:`CompiledCTMC.validate`.
+
+    ``terms`` is a compiled chain's interned term list.  Raises exactly
+    what :meth:`CompiledCTMC.fill` would raise, in the same order:
+    ``KeyError`` when a term reads an unsupplied parameter,
+    :class:`~repro.exceptions.DistributionError` when a rate is not
+    positive and finite.  The :mod:`repro.analyze` lint runs the same
+    walk.
+    """
+    for term in terms:
+        check_rate(term(values))
+
+
+class StackRefused(Exception):
+    """A stacked evaluation met a point it does not handle.
+
+    Raised by the vectorized checks of the stacked fill and solve, and
+    caught by their callers, which then run the point-by-point path:
+    that path raises the exact error an uncompiled model build would.
+    """
+
+
+def _check_rates(rates) -> None:
+    """:func:`check_rate` over a column of rates, refusing instead of raising."""
+    if not np.all((rates > 0.0) & np.isfinite(rates)):
+        raise StackRefused
+
+
 class _FrozenChain:
     """Frozen CSR pattern plus interned rate terms: the one compiled fill.
 
@@ -184,8 +239,6 @@ class _FrozenChain:
         term_ids: np.ndarray,
         multipliers: np.ndarray,
     ):
-        from ..analyze.compiled import term_parameters
-
         self.n = int(n)
         if self.n < 1:
             raise ModelDefinitionError("chain has no states")
@@ -310,15 +363,16 @@ class _FrozenChain:
         same scan the :func:`repro.analyze.analyze` lint reuses, so the
         two accept/reject bit-identically by construction.
         """
-        from ..analyze.compiled import validate_terms
-
         validate_terms(self._terms, values)
 
-    def _csr(self, data: np.ndarray) -> sparse.csr_matrix:
+    def _csr(self, data: np.ndarray):
+        from scipy import sparse
+
         return sparse.csr_matrix((data, self._indices, self._indptr), shape=(self.n, self.n))
 
-    def generator(self, values: Mapping[str, float]) -> sparse.csr_matrix:
-        """The filled generator as CSR (shares the frozen index arrays).
+    def generator(self, values: Mapping[str, float]):
+        """The filled generator as a scipy CSR matrix (shares the frozen
+        index arrays).
 
         The returned matrix's ``indices``/``indptr`` are the compile-time
         arrays themselves — refills can never perturb the pattern — and
@@ -348,6 +402,67 @@ class _FrozenChain:
             self._memo.clear()
         self._memo[key] = result
         return result
+
+
+#: value types a stacked fill reads as float64 without changing a bit of
+#: what the per-point arithmetic computes from them
+_PLAIN_TYPES = (float, int, np.float64)
+
+
+def parameter_columns(
+    points: Sequence[Mapping[str, float]],
+    names: Sequence[str],
+    defaults: Optional[Sequence[float]] = None,
+) -> np.ndarray:
+    """``(len(names), m)`` float64 table of ``m`` points' parameter values.
+
+    Row ``j`` is parameter ``names[j]``.  With ``defaults`` (a case
+    study's parameter dataclass) a point that omits a name takes
+    ``defaults[j]`` and a name outside ``names`` is refused, as
+    ``resolve_parameters`` rejects it; without them every point must
+    set every name and other names are ignored, as :meth:`~_FrozenChain.fill`
+    ignores them.  Raises :class:`StackRefused` for those cases and for a
+    value that is not a plain ``float``/``int`` (or an int too large for
+    a float) — such points take the per-point path and its error
+    contract.
+    """
+    m = len(points)
+    index = {name: j for j, name in enumerate(names)}
+    table = np.empty((len(names), m))  # parameters × points, not states²  # noqa: R007
+    if defaults is None:
+        table.fill(np.nan)
+    else:
+        table[:] = np.asarray(defaults, dtype=float)[:, None]
+    try:
+        for i, point in enumerate(points):
+            for name, value in point.items():
+                j = index.get(name)
+                if j is None:
+                    if defaults is None:
+                        continue
+                    raise StackRefused
+                if type(value) not in _PLAIN_TYPES:
+                    raise StackRefused
+                table[j, i] = value
+    except OverflowError:
+        raise StackRefused from None
+    if defaults is None and np.isnan(table).any():
+        raise StackRefused
+    return table
+
+
+def _csr_pattern(n: int, rows: np.ndarray, cols: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(indices, indptr)`` of distinct ``(rows, cols)`` coordinates.
+
+    Byte for byte what scipy's COO → CSR conversion (the one
+    ``CTMC.generator()`` runs) produces: columns sorted within each
+    row, int32 indices unless the size needs int64.
+    """
+    order = np.lexsort((cols, rows))
+    dtype = np.int32 if max(n, rows.size) <= np.iinfo(np.int32).max else np.int64
+    indptr = np.zeros(n + 1, dtype=dtype)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return cols[order].astype(dtype), indptr
 
 
 class CompiledCTMC(_FrozenChain):
@@ -404,14 +519,9 @@ class CompiledCTMC(_FrozenChain):
         pairs = np.array(list(slots), dtype=np.int64).reshape(-1, 2)
         rows, cols = pairs[:, 0], pairs[:, 1]
         diag = np.arange(n, dtype=np.int64)
-        # The exact COO → CSR conversion CTMC.generator() runs, so the
-        # pattern (index dtype included) matches it byte for byte.
-        pattern = sparse.csr_matrix(
-            (np.ones(rows.size + n), (np.concatenate([rows, diag]), np.concatenate([cols, diag]))),
-            shape=(n, n),
-        )
+        indices, indptr = _csr_pattern(n, np.concatenate([rows, diag]), np.concatenate([cols, diag]))
         super().__init__(
-            n, pattern.indices, pattern.indptr, rows, cols,
+            n, indices, indptr, rows, cols,
             list(term_index), np.array(term_ids, dtype=np.int64), np.ones(rows.size),
         )
         self._row_of = np.repeat(diag, np.diff(self._indptr))
@@ -452,7 +562,7 @@ class CompiledCTMC(_FrozenChain):
         t0 = perf_counter()
         dense = np.zeros((self.n, self.n))  # GTH is a dense kernel by design  # noqa: R007
         dense[self._row_of, self._indices] = data
-        pi = gth_solve(dense, validated=True)
+        pi = gth_eliminate(dense)
         if tracer.enabled:
             tracer.metrics.counter("compile.reuse", kind="ctmc").inc()
             tracer.metrics.counter("compile.solve_seconds").inc(perf_counter() - t0)
@@ -479,6 +589,61 @@ class CompiledCTMC(_FrozenChain):
             self._point_key(values), lambda: self.steady_state(values), "ctmc-memo"
         )
 
+    # ----------------------------------------------------------- stacked
+    def fill_dense_many(self, columns: Mapping[str, np.ndarray], out: np.ndarray) -> None:
+        """Scatter the off-diagonal rates of ``m`` points into ``out``.
+
+        ``columns`` maps each parameter name to a float64 column of
+        ``m`` values; ``out`` is a zeroed ``(m, n, n)`` block.  Every
+        distinct term is evaluated once on whole columns — the same
+        elementwise float64 arithmetic :meth:`fill` applies per point —
+        and checked like ``check_rate`` would check each value.  The
+        diagonal is left alone: GTH reads only the off-diagonal rates.
+        Raises :class:`StackRefused` on a missing parameter or a rate
+        that ``check_rate`` would reject.
+        """
+        m = out.shape[0]
+        rates = np.empty((m, len(self._terms)))  # points × terms  # noqa: R007
+        try:
+            for k, term in enumerate(self._terms):
+                if isinstance(term, Sum):
+                    rate = 0.0
+                    for part in term.terms:
+                        value = part(columns)
+                        _check_rates(value)
+                        rate = rate + value
+                else:
+                    rate = term(columns)
+                _check_rates(rate)
+                rates[:, k] = rate
+        except KeyError:
+            raise StackRefused from None
+        out[:, self._trip_rows, self._trip_cols] = rates[:, self._term_ids] * self._mult
+
+    def steady_state_many(self, points: Sequence[Mapping[str, float]]) -> np.ndarray:
+        """Stationary vectors ``(m, n)`` at ``m`` points, one stacked GTH pass.
+
+        Bit-identical to stacking :meth:`steady_state` at each point:
+        the rates are filled column-wise (:meth:`fill_dense_many`) and
+        one :func:`~repro._kernels.gth_eliminate` call eliminates the
+        whole stack in the single-chain operation order.  A point the
+        stack does not handle — a missing parameter, a value that is
+        not a plain ``float``/``int``, a rate ``check_rate`` rejects,
+        a reducible chain — sends the batch through :meth:`steady_state`
+        point by point, which raises exactly what the uncompiled build
+        raises.
+        """
+        check_gth_size(self.n)
+        m = len(points)
+        try:
+            columns = parameter_columns(points, self.parameters)
+            dense = np.zeros((m, self.n, self.n))  # GTH is a dense kernel by design  # noqa: R007
+            self.fill_dense_many(dict(zip(self.parameters, columns)), dense)
+            return gth_eliminate(dense)
+        except (StackRefused, SolverError):
+            pass
+        return np.array([self.steady_state(p) for p in points]).reshape(m, self.n)
+
     # --------------------------------------------------------- transient
     def transient(
         self,
@@ -495,6 +660,8 @@ class CompiledCTMC(_FrozenChain):
         points with identical rates the Poisson truncation points are
         served from the ``(λt, tol)`` memo instead of being re-derived.
         """
+        from ..markov.solvers import solve_transient
+
         ts = np.atleast_1d(np.asarray(times, dtype=float))
         p0 = initial_vector(initial, self.n, self.index_of)
         return solve_transient(self.generator(values), p0, ts, method=method, tol=tol)

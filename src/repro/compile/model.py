@@ -30,9 +30,19 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .._kernels import gth_eliminate
 from .._validation import check_positive, check_probability
-from ..exceptions import ModelDefinitionError
-from .ctmc import CompiledCTMC, Complement, Param, Scaled, Times
+from ..exceptions import ModelDefinitionError, SolverError
+from ..obs.trace import get_tracer
+from .ctmc import (
+    CompiledCTMC,
+    Complement,
+    Param,
+    Scaled,
+    StackRefused,
+    Times,
+    parameter_columns,
+)
 from .structure import CompiledStructureFunction
 
 __all__ = [
@@ -69,6 +79,33 @@ def _fixed_up(unavailability: float) -> float:
     """
     check_probability(unavailability)
     return 1.0 - (1.0 - (1.0 - unavailability))
+
+
+def _exp_up_many(failure_rate: np.ndarray, repair_rate: np.ndarray) -> np.ndarray:
+    """:func:`_exp_steady_up` over columns: the same checks, refusing
+    instead of raising, and the same elementwise arithmetic."""
+    for rate in (failure_rate, repair_rate):
+        if not np.all((rate > 0.0) & np.isfinite(rate)):
+            raise StackRefused
+    mttf = 1.0 / failure_rate
+    mttr = 1.0 / repair_rate
+    ssa = mttf / (mttf + mttr)
+    return 1.0 - (1.0 - ssa)
+
+
+def _fixed_up_many(unavailability: np.ndarray) -> np.ndarray:
+    """:func:`_fixed_up` over a column of unavailabilities."""
+    if not np.all((unavailability >= 0.0) & (unavailability <= 1.0)):
+        raise StackRefused
+    return 1.0 - (1.0 - (1.0 - unavailability))
+
+
+#: Batches of at least this many points take an evaluator's stacked
+#: path; a single point runs point by point.  Measured once on a 2-vCPU
+#: x86 host over 400 fresh random points (per point, stacked vs per
+#: point): BladeCenter 244 vs 148 µs at one point, 126 vs 150 µs at two,
+#: 11 vs 104 µs at 25; Cisco and Sun cross over at two points as well.
+_STACK_MIN_POINTS = 2
 
 
 class CompiledEvaluator:
@@ -137,7 +174,60 @@ class CompiledEvaluator:
         }
 
 
-class CompiledBladeCenter(CompiledEvaluator):
+class _StackedEvaluator(CompiledEvaluator):
+    """A case-study evaluator with a stacked path and a per-point path.
+
+    ``evaluate_many`` runs batches of :data:`_STACK_MIN_POINTS` or more
+    through :meth:`_evaluate_stacked`: the parameters become float64
+    columns over the dataclass defaults, every leaf chain's points are
+    solved in one GTH stack, and the structure layers run on whole
+    columns — the same floating-point operations per point, in the same
+    order, as :meth:`_evaluate_points`.  Every check the per-point path
+    makes (``resolve_parameters``, ``check_rate``, ``check_positive``,
+    ``check_probability``, GTH irreducibility) runs vectorized; when
+    any would fail, or a value is not a plain ``float``/``int``, the
+    whole batch re-runs point by point and raises exactly the
+    uncompiled error.  With tracing on, ``compile.stacked_points``
+    counts the points the stacked path answered and
+    ``compile.stack_refused`` the batches it handed back.
+
+    ``parameters`` is the case study's parameter dataclass, whose fields
+    name the accepted parameters and whose defaults fill unset ones.
+    """
+
+    def __init__(self, parameters: type):
+        defaults = parameters()
+        self.parameters = tuple(parameters.__dataclass_fields__)
+        self._defaults = tuple(float(getattr(defaults, name)) for name in self.parameters)
+
+    def evaluate_many(self, assignments: Sequence[Mapping[str, float]]) -> np.ndarray:
+        m = len(assignments)
+        if m >= _STACK_MIN_POINTS:
+            tracer = get_tracer()
+            try:
+                table = parameter_columns(assignments, self.parameters, self._defaults)
+                # resolve_parameters: finite and non-negative
+                if not np.all(np.isfinite(table) & (table >= 0.0)):
+                    raise StackRefused
+                with np.errstate(all="ignore"):
+                    out = self._evaluate_stacked(dict(zip(self.parameters, table)), m)
+            except (StackRefused, SolverError):
+                if tracer.enabled:
+                    tracer.metrics.counter("compile.stack_refused").inc()
+            else:
+                if tracer.enabled:
+                    tracer.metrics.counter("compile.stacked_points").inc(m)
+                return out
+        return self._evaluate_points(assignments)
+
+    def _evaluate_stacked(self, columns: Dict[str, np.ndarray], m: int) -> np.ndarray:
+        raise NotImplementedError
+
+    def _evaluate_points(self, assignments: Sequence[Mapping[str, float]]) -> np.ndarray:
+        raise NotImplementedError
+
+
+class CompiledBladeCenter(_StackedEvaluator):
     """Compiled IBM BladeCenter hierarchy (case study E19).
 
     Structure compiled once: the 2-unit redundant-pair CTMC pattern
@@ -158,7 +248,7 @@ class CompiledBladeCenter(CompiledEvaluator):
     def __init__(self):
         from ..casestudies.bladecenter import BladeCenterParameters
 
-        self.parameters = tuple(BladeCenterParameters.__dataclass_fields__)
+        super().__init__(BladeCenterParameters)
         # 2-unit redundant pair, shared repair: states [2, 1, 0].
         self._pairs: Dict[str, CompiledCTMC] = {
             name: CompiledCTMC(
@@ -236,7 +326,41 @@ class CompiledBladeCenter(CompiledEvaluator):
         blade_row = (p_cpu, p_memory, p_raid, p_nic1, p_nic2, p_os)
         return tuple(chassis_row), blade_row
 
-    def evaluate_many(self, assignments: Sequence[Mapping[str, float]]) -> np.ndarray:
+    def _evaluate_stacked(self, columns: Dict[str, np.ndarray], m: int) -> np.ndarray:
+        """All five 3-state chains of ``m`` points in one GTH stack, then
+        the three structure layers on whole columns."""
+        chains = [self._pairs[name] for name, _ in self._CHASSIS_LEAVES] + [self._raid]
+        dense = np.zeros((len(chains), m, 3, 3))
+        for chain, block in zip(chains, dense):
+            chain.fill_dense_many(columns, block)
+        pi = gth_eliminate(dense.reshape(-1, 3, 3)).reshape(len(chains), m, 3)
+        # up states {2, 1} -> indices 0, 1 in the frozen order
+        up = _fixed_up_many(1.0 - (pi[..., 0] + pi[..., 1]))
+        blade_repair = columns["blade_repair_rate"]
+        midplane = _exp_up_many(
+            columns["midplane_failure_rate"], columns["midplane_repair_rate"]
+        )
+        p_nic = _exp_up_many(columns["nic_failure_rate"], blade_repair)
+        blade_P = np.column_stack(
+            (
+                _exp_up_many(columns["cpu_failure_rate"], blade_repair),
+                _exp_up_many(columns["memory_failure_rate"], blade_repair),
+                up[4],
+                p_nic,
+                p_nic,
+                _exp_up_many(
+                    columns["software_failure_rate"], columns["software_repair_rate"]
+                ),
+            )
+        )
+        a_chassis = self._chassis_sf.evaluate(np.column_stack((*up[:4], midplane)))
+        a_blade = self._blade_sf.evaluate(blade_P)
+        system_P = np.column_stack(
+            (_fixed_up_many(1.0 - a_chassis), _fixed_up_many(1.0 - a_blade))
+        )
+        return self._system_sf.evaluate(system_P)
+
+    def _evaluate_points(self, assignments: Sequence[Mapping[str, float]]) -> np.ndarray:
         from ..casestudies.bladecenter import resolve_parameters
 
         params_list = [resolve_parameters(a) for a in assignments]
@@ -260,7 +384,7 @@ class CompiledBladeCenter(CompiledEvaluator):
         return out
 
 
-class CompiledCiscoRouter(CompiledEvaluator):
+class CompiledCiscoRouter(_StackedEvaluator):
     """Compiled Cisco GSR router (case study E18, redundant processor).
 
     One 5-state processor CTMC with symbolic coverage-split rates plus a
@@ -270,7 +394,7 @@ class CompiledCiscoRouter(CompiledEvaluator):
     def __init__(self):
         from ..casestudies.cisco import CiscoParameters
 
-        self.parameters = tuple(CiscoParameters.__dataclass_fields__)
+        super().__init__(CiscoParameters)
         lam = Param("processor_failure_rate")
         # states in first-seen order: "2", "failover", "uncovered", "1", "0"
         self._processor = CompiledCTMC(
@@ -305,7 +429,18 @@ class CompiledCiscoRouter(CompiledEvaluator):
         )
         return (p_proc, p_fabric) + linecards
 
-    def evaluate_many(self, assignments: Sequence[Mapping[str, float]]) -> np.ndarray:
+    def _evaluate_stacked(self, columns: Dict[str, np.ndarray], m: int) -> np.ndarray:
+        dense = np.zeros((m, 5, 5))
+        self._processor.fill_dense_many(columns, dense)
+        pi = gth_eliminate(dense)
+        # up states {"2", "1"} -> indices 0 and 3
+        p_proc = _fixed_up_many(1.0 - (pi[:, 0] + pi[:, 3]))
+        p_fabric = _exp_up_many(columns["fabric_failure_rate"], columns["fabric_repair_rate"])
+        p_card = _exp_up_many(columns["linecard_failure_rate"], columns["linecard_repair_rate"])
+        P = np.column_stack((p_proc, p_fabric, p_card, p_card, p_card, p_card))
+        return self._router_sf.evaluate(P)
+
+    def _evaluate_points(self, assignments: Sequence[Mapping[str, float]]) -> np.ndarray:
         from ..casestudies.cisco import resolve_parameters
 
         params_list = [resolve_parameters(a) for a in assignments]
@@ -315,7 +450,7 @@ class CompiledCiscoRouter(CompiledEvaluator):
         return self._router_sf.evaluate(P)
 
 
-class CompiledSunPlatform(CompiledEvaluator):
+class CompiledSunPlatform(_StackedEvaluator):
     """Compiled Sun carrier-grade platform (case study E20).
 
     Compiles the **immediate**-repair policy, the one
@@ -328,7 +463,7 @@ class CompiledSunPlatform(CompiledEvaluator):
     def __init__(self):
         from ..casestudies.sun import SunParameters
 
-        self.parameters = tuple(SunParameters.__dataclass_fields__)
+        super().__init__(SunParameters)
         lam = Param("failure_rate")
         # states in first-seen order: "2", "failover", "uncovered", "1", "0"
         self._platform = CompiledCTMC(
@@ -345,7 +480,14 @@ class CompiledSunPlatform(CompiledEvaluator):
             ],
         )
 
-    def evaluate_many(self, assignments: Sequence[Mapping[str, float]]) -> np.ndarray:
+    def _evaluate_stacked(self, columns: Dict[str, np.ndarray], m: int) -> np.ndarray:
+        dense = np.zeros((m, 5, 5))
+        self._platform.fill_dense_many(columns, dense)
+        pi = gth_eliminate(dense)
+        # up states {"2", "1"} -> indices 0 and 3
+        return pi[:, 0] + pi[:, 3]
+
+    def _evaluate_points(self, assignments: Sequence[Mapping[str, float]]) -> np.ndarray:
         from ..casestudies.sun import resolve_parameters
 
         out = np.empty(len(assignments))

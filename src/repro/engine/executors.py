@@ -92,11 +92,12 @@ def spawn_generators(rng: np.random.Generator, n: int) -> List[np.random.Generat
         return [np.random.default_rng(child) for child in children]
 
 
-def ensure_picklable(obj: Any, role: str) -> None:
-    """Raise a clear :class:`ModelDefinitionError` when ``obj`` cannot cross
-    a process boundary (lambdas, closures, locally defined functions)."""
+def ensure_picklable(obj: Any, role: str) -> bytes:
+    """``pickle.dumps(obj)``, or a clear :class:`ModelDefinitionError` when
+    ``obj`` cannot cross a process boundary (lambdas, closures, locally
+    defined functions)."""
     try:
-        pickle.dumps(obj)
+        return pickle.dumps(obj)
     except Exception as exc:
         raise ModelDefinitionError(
             f"{role} is not picklable ({type(exc).__name__}: {exc}); "
@@ -253,6 +254,42 @@ def _run_task(
             return float("nan"), elapsed, record, attempts
 
 
+def _run_vectorized(
+    evaluate: Evaluator,
+    assignments: Sequence[Mapping[str, float]],
+    policy: Optional[FaultPolicy],
+) -> Optional[List[Tuple[float, float, Optional[ErrorRecord], int]]]:
+    """One ``evaluate_many`` call for the whole chunk, or ``None``.
+
+    Taken when the evaluator (behind a ship-once stand-in, if any) has
+    ``evaluate_many`` and the policy sets no per-point ``timeout``; the
+    caller has already ruled out per-task generators.  Each point
+    records the chunk's seconds divided by its size as its duration, and
+    one attempt.  ``None`` — any exception, a result of the wrong
+    length, or a non-finite value under ``treat_nan_as_failure`` —
+    sends the chunk through the per-point loop, which produces every
+    value, ``ErrorRecord``, retry and backoff exactly as it always has.
+    """
+    if policy is not None and policy.timeout is not None:
+        return None
+    target = evaluate._resolve() if isinstance(evaluate, _ShippedEvaluator) else evaluate
+    evaluate_many = getattr(target, "evaluate_many", None)
+    if evaluate_many is None:
+        return None
+    start = time.perf_counter()
+    try:
+        values = [float(value) for value in evaluate_many(assignments)]
+    except Exception:
+        return None
+    each = (time.perf_counter() - start) / len(assignments)
+    if len(values) != len(assignments):
+        return None
+    if policy is not None and policy.treat_nan_as_failure:
+        if not all(math.isfinite(value) for value in values):
+            return None
+    return [(value, each, None, 1) for value in values]
+
+
 def _run_chunk(
     evaluate: Evaluator,
     assignments: Sequence[Mapping[str, float]],
@@ -262,12 +299,18 @@ def _run_chunk(
 ) -> List[Tuple[float, float, Optional[ErrorRecord], int]]:
     """Evaluate one chunk; ``(value, seconds, error, attempts)`` per task.
 
-    Module-level so it pickles for the process pool; also the shared
-    inner loop of the serial and thread backends.  ``indices`` carries
-    the batch-global task indices so error records and backoff jitter
-    stay addressed in input order regardless of chunking.
+    Module-level so it pickles for the process pool; the inner loop of
+    the thread backend too.  Without per-task generators it first tries
+    one vectorized ``evaluate_many`` call (:func:`_run_vectorized`).
+    ``indices`` carries the batch-global task indices so error records
+    and backoff jitter stay addressed in input order regardless of
+    chunking.
     """
-    results: List[Tuple[float, float, Optional[ErrorRecord], int]] = []
+    if rngs is None and assignments:
+        results = _run_vectorized(evaluate, assignments, policy)
+        if results is not None:
+            return results
+    results = []
     for k, assignment in enumerate(assignments):
         results.append(
             _run_task(
@@ -642,7 +685,10 @@ class ProcessExecutor(_PoolExecutor):
         return _process_pool(self.n_jobs, shipped)
 
     def _check_batch(self, evaluate, assignments, rngs) -> None:
-        ensure_picklable(evaluate, "the evaluator")
+        # A ship-once evaluator is checked by the one pickling that ships
+        # it (`_prepare`, when a pool is made for it), not once per run.
+        if not self._ships(evaluate):
+            ensure_picklable(evaluate, "the evaluator")
         if len(assignments):
             ensure_picklable(assignments[0], "the parameter assignment")
 
@@ -654,7 +700,8 @@ class ProcessExecutor(_PoolExecutor):
 
         The evaluator is pickled a single time into the pool
         initializer's arguments; submitted chunks carry only a
-        :class:`_ShippedEvaluator` key.  Values are unchanged — the
+        :class:`_ShippedEvaluator` key; that one pickling is also the
+        evaluator's picklability check.  Values are unchanged — the
         worker calls the identical unpickled instance it would otherwise
         receive per chunk.  Runs once per pool: once per process for a
         named backend that keeps seeing the same evaluator, and again
@@ -662,13 +709,14 @@ class ProcessExecutor(_PoolExecutor):
         """
         if not self._ships(evaluate):
             return None, evaluate
+        payload = ensure_picklable(evaluate, "the evaluator")
         key = f"ship-{next(_ship_counter)}"
         tracer = get_tracer()
         if tracer.enabled:
             tracer.metrics.counter(
                 "engine.shipped_evaluators", evaluator=type(evaluate).__name__
             ).inc()
-        return (key, pickle.dumps(evaluate)), _ShippedEvaluator(key, evaluate)
+        return (key, payload), _ShippedEvaluator(key, evaluate)
 
 
 #: the library's warm executors, one per named pool backend and worker count

@@ -31,15 +31,18 @@ class SemiMarkovDependabilityModel(DependabilityModel):
     smp:
         The semi-Markov process.
     up_states:
-        Operational states.
+        Operational states; their probabilities are summed in the order
+        given (duplicates dropped), so results do not depend on the
+        hash order of the labels.
     initial:
         Starting state.
     """
 
     def __init__(self, smp: SemiMarkovProcess, up_states: Iterable, initial):
         self.smp = smp
-        self.up_states = set(up_states)
-        unknown = [s for s in self.up_states if s not in set(smp.states)]
+        self.up_states = list(dict.fromkeys(up_states))
+        known = set(smp.states)
+        unknown = [s for s in self.up_states if s not in known]
         if unknown:
             raise ModelDefinitionError(f"up states not in the SMP: {unknown}")
         if not self.up_states:
@@ -49,10 +52,11 @@ class SemiMarkovDependabilityModel(DependabilityModel):
 
     def _absorb_down(self) -> SemiMarkovProcess:
         absorbed = SemiMarkovProcess()
+        up = set(self.up_states)
         for state in self.smp.states:
             absorbed.add_state(state)
         for state in self.smp.states:
-            if state not in self.up_states:
+            if state not in up:
                 continue  # down states become absorbing
             for target, prob, holding in self.smp._transitions[state]:
                 absorbed.add_transition(state, target, prob, holding)

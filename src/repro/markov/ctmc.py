@@ -35,6 +35,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import linalg as sparse_linalg
 
+from .._kernels import POLICY, gth_eliminate
 from .._validation import check_rate, initial_vector
 from ..core.model import DependabilityModel
 from ..exceptions import ModelDefinitionError, SolverError, StateSpaceError
@@ -445,6 +446,38 @@ def _sparse_mean_passage_time(
     return float(tau.sum())
 
 
+def _renewal_mttf(q: sparse.spmatrix, p0: np.ndarray, targets: np.ndarray) -> float:
+    """Mean first-passage time into ``targets`` by the renewal-reward identity.
+
+    The target set is lumped into one state that restarts the chain from
+    ``p0`` at rate ``r`` (the largest exit rate of the other states).
+    Each cycle of that chain spends the first-passage time outside the
+    targets and a mean ``1 / (r · p0(outside))`` inside, so its
+    stationary vector gives ``MTTF = Σ_outside π / (r · π_target)``.
+    The vector comes from GTH (:func:`repro._kernels.gth_eliminate`),
+    which never subtracts, so highly redundant chains keep every digit
+    that a linear solve of the transient block loses to cancellation.
+    Raises :class:`~repro.exceptions.SolverError` when some state
+    cannot reach the targets.
+    """
+    transient = np.flatnonzero(~targets)
+    if transient.size == 0:
+        return 0.0
+    start = np.asarray(p0, dtype=float)[transient]
+    if start.sum() <= 0.0:
+        return 0.0
+    q = sparse.csr_matrix(q, dtype=float)
+    rows = q[transient]
+    n = transient.size + 1
+    lumped = np.zeros((n, n))
+    lumped[1:, 1:] = rows[:, transient].toarray()
+    lumped[1:, 0] = np.asarray(rows[:, np.flatnonzero(targets)].sum(axis=1)).ravel()
+    rate = float((-q.diagonal()[transient]).max())
+    lumped[0, 1:] = rate * start
+    pi = gth_eliminate(lumped)
+    return float(pi[1:].sum() / (rate * pi[0]))
+
+
 class ChainDependabilityModel(DependabilityModel):
     """The dependability measures of a chain with designated up states.
 
@@ -518,10 +551,21 @@ class ChainDependabilityModel(DependabilityModel):
         return self._transient_up((keep @ self._q).tocsr(), t)
 
     def mttf(self) -> float:
-        """Mean time to the first down state."""
+        """Mean time to the first down state.
+
+        Up to ``POLICY.gth_first_states`` states, by the subtraction-free
+        renewal-reward identity (:func:`_renewal_mttf`); above that, or
+        when some up state cannot reach the down set, by a sparse solve
+        of the up block.
+        """
         down = self._down_mask()
         if not down.any():
             raise StateSpaceError("chain has no down states; MTTF is infinite")
+        if down.size <= POLICY.gth_first_states:
+            try:
+                return _renewal_mttf(self._q, self._p0, down)
+            except SolverError:
+                pass
         return _sparse_mean_passage_time(self._q, self._p0, down)
 
 

@@ -36,17 +36,21 @@ attempts, tracing and ``diagnostics=`` pre-flights.
 :data:`POLICY` is the one table of route thresholds and tolerances:
 which stage order ``auto`` walks, where GTH refuses to densify, where
 transient solves switch to Krylov stepping, and the residual and
-generator tolerances every front door applies.
+generator tolerances every front door applies.  It and
+:func:`check_gth_size` are defined in the numpy-only
+:mod:`repro._kernels` (so the compiled sweep path can read them without
+loading scipy) and re-exported here unchanged.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable, Dict, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .._kernels import POLICY, SolverPolicy, check_gth_size
 from ..exceptions import SolverError
+from . import solvers
 
 __all__ = [
     "SolverPolicy",
@@ -63,80 +67,6 @@ PreCheck = Callable[..., None]
 Supports = Callable[[Any], bool]
 
 
-@dataclass
-class SolverPolicy:
-    """The one table of solver route thresholds and tolerances.
-
-    Every size threshold that picks a steady-state or transient route,
-    and every tolerance the front doors apply, is a row here; the
-    solvers read :data:`POLICY` and define none of their own.  Routes
-    and guards read it per call; the ``tol=`` keyword defaults of
-    ``validate_generator`` and the lint scans bind ``generator_tol``
-    when their modules load.
-    """
-
-    #: ``auto`` puts GTH first at or below this many states ...
-    gth_first_states: int = 2_000
-    #: ... or at a stiffness ratio ``max_rate / min_rate`` at or above
-    #: this; lint code M103 warns from the same row.
-    gth_first_stiffness: float = 1e8
-    #: ``auto`` puts the Krylov stages first above this many states for
-    #: a hand-built generator ...
-    iterative_states: int = 50_000
-    #: ... and above this many for a chain built by reachability
-    #: (``SparseCTMC``, ``CompiledSparseCTMC``), where sparse-LU fill-in
-    #: explodes.  The compiled chain also warm-starts and runs ``sweep``'s
-    #: Krylov branch above it.
-    iterative_states_reachability: int = 5_000
-    #: GTH densifies an n×n copy; every GTH path refuses above this.
-    gth_max_states: int = 20_000
-    #: ``solve_transient(method="auto")`` steps by Krylov
-    #: ``expm_multiply`` above this many states, else uniformizes.
-    transient_krylov_states: int = 50_000
-    #: A stage's vector is accepted only with relative residual
-    #: ``‖π Q‖∞ / max(1, max|Q|)`` at or below this.
-    stage_residual: float = 1e-8
-    #: Generator row sums (and negative off-diagonals) are accepted
-    #: within this tolerance scaled by the largest absolute rate.
-    generator_tol: float = 1e-8
-    #: A full GMRES restart cycle that cuts the true residual
-    #: ``‖b − A x‖`` by less than this fraction ends the solve as
-    #: stagnated, so the ``auto`` chain moves on instead of running out
-    #: the budget.
-    gmres_min_cycle_reduction: float = 0.01
-
-    def steady_state_route(
-        self, n_states: int, stiffness_ratio: float, iterative_limit: Optional[int] = None
-    ) -> Tuple[str, Tuple[str, ...]]:
-        """``(route, stage order)`` of an ``auto`` steady-state solve.
-
-        ``iterative_limit`` defaults to :attr:`iterative_states`.
-        """
-        if iterative_limit is None:
-            iterative_limit = self.iterative_states
-        if n_states > iterative_limit:
-            return "iterative", ("gmres", "bicgstab", "power")
-        if n_states <= self.gth_first_states:
-            return "gth-first:small", ("gth", "direct", "power")
-        if stiffness_ratio >= self.gth_first_stiffness:
-            return "gth-first:stiff", ("gth", "direct", "power")
-        return "direct-first", ("direct", "power", "gth")
-
-
-#: The table the front doors read.
-POLICY = SolverPolicy()
-
-
-def check_gth_size(n: int) -> None:
-    """Refuse to densify a chain above :attr:`SolverPolicy.gth_max_states`."""
-    if n > POLICY.gth_max_states:
-        raise SolverError(
-            f"GTH would materialize a dense {n}×{n} matrix "
-            f"({8 * n * n / 1e9:.1f} GB); use 'direct', 'gmres' or 'power' "
-            f"above {POLICY.gth_max_states} states"
-        )
-
-
 class StageResult(NamedTuple):
     """A steady-state kernel's vector with the iterations it spent.
 
@@ -146,11 +76,6 @@ class StageResult(NamedTuple):
 
     pi: np.ndarray
     iterations: Optional[int]
-
-
-# Imported below the table, as a module: ``solvers`` binds its defaults
-# from :data:`POLICY` while it loads, so either module may load first.
-from . import solvers  # noqa: E402
 
 
 class SolverMethod:

@@ -31,7 +31,7 @@ from scipy.sparse import linalg as sparse_linalg
 
 from ..exceptions import ConvergenceError, ModelDefinitionError, SolverError
 from ..obs.trace import get_tracer
-from .registry import POLICY
+from .._kernels import POLICY, gth_eliminate
 
 __all__ = [
     "validate_generator",
@@ -107,30 +107,14 @@ def gth_solve(generator: np.ndarray, validated: bool = False) -> np.ndarray:
     ``validated=True`` skips the :func:`validate_generator` pre-flight —
     for callers (the fallback chain, compiled models) that have already
     validated the exact same matrix.
+
+    The elimination itself is :func:`repro._kernels.gth_eliminate`, the
+    kernel compiled models also run over stacks of chains.
     """
     a = np.array(generator, dtype=float)
-    n = a.shape[0] if validated else validate_generator(a)
-    if n == 1:
-        return np.ones(1)
-
-    # Work with the off-diagonal rates only; diagonals are implicit.
-    np.fill_diagonal(a, 0.0)
-    for k in range(n - 1, 0, -1):
-        total = a[k, :k].sum()
-        if total <= 0.0:
-            raise SolverError(
-                "GTH elimination hit a state with no transitions back into the "
-                "remaining block; the chain is not irreducible"
-            )
-        a[:k, :k] += np.outer(a[:k, k], a[k, :k]) / total
-
-    pi = np.zeros(n)
-    pi[0] = 1.0
-    for k in range(1, n):
-        total = a[k, :k].sum()
-        pi[k] = float(pi[:k] @ a[:k, k]) / total
-    pi /= pi.sum()
-    return pi
+    if not validated:
+        validate_generator(a)
+    return gth_eliminate(a)
 
 
 def steady_state_direct(

@@ -194,3 +194,79 @@ class TestCompileModel:
         assert compiled.parameters == tuple(
             bladecenter.BladeCenterParameters.__dataclass_fields__
         )
+
+
+def random_points(cls, n, seed, spread=3.0):
+    """``n`` seeded points perturbing every rate of ``cls`` (and coverage)."""
+    evaluator = cls()
+    rng = np.random.default_rng(seed)
+    points = []
+    for _ in range(n):
+        point = {}
+        for name, default in zip(evaluator.parameters, evaluator._defaults):
+            if name == "coverage":
+                point[name] = float(rng.uniform(0.5, 0.999))
+            elif rng.random() < 0.6:
+                point[name] = float(default * np.exp(rng.uniform(-np.log(spread), np.log(spread))))
+        points.append(point)
+    return points
+
+
+STACKED = [
+    pytest.param(bladecenter.evaluate_availability, CompiledBladeCenter, id="bladecenter"),
+    pytest.param(cisco.evaluate_availability, CompiledCiscoRouter, id="cisco"),
+    pytest.param(sun.evaluate_availability, CompiledSunPlatform, id="sun"),
+]
+
+
+class TestStackedPath:
+    """Batches of two or more points solve every leaf chain in one GTH
+    stack; the per-point path stays the reference and the fallback."""
+
+    @pytest.mark.parametrize("evaluate, cls", STACKED)
+    def test_random_points_match_uncompiled(self, evaluate, cls, monkeypatch):
+        points = random_points(cls, 40, seed=5)
+        compiled = cls()
+        monkeypatch.setattr(cls, "_evaluate_points", None)  # no fallback
+        batch = compiled.evaluate_many(points)
+        assert [bits(v) for v in batch] == [bits(evaluate(p)) for p in points]
+
+    @pytest.mark.parametrize("cls, chain", [(CompiledCiscoRouter, "_processor"),
+                                            (CompiledSunPlatform, "_platform")])
+    def test_five_state_chain_stack_matches_gth_solve(self, cls, chain):
+        """These chains have a nonzero ``a[0, 2]``, so a reordered
+        reduction would show here where BladeCenter's pairs hide it."""
+        from repro.markov.solvers import gth_solve
+
+        compiled = getattr(cls(), chain)
+        defaults = dict(zip(cls().parameters, cls()._defaults))
+        points = [{**defaults, **p} for p in random_points(cls, 60, seed=9, spread=100.0)]
+        stacked = compiled.steady_state_many(points)
+        assert stacked.shape == (60, 5)
+        for row, point in zip(stacked, points):
+            assert row.tobytes() == gth_solve(compiled.generator(point).toarray()).tobytes()
+
+    @pytest.mark.parametrize("evaluate, cls", STACKED)
+    @pytest.mark.parametrize(
+        "bad", [{"coverage": 1.5}, {"coverage": -0.5}, {"no_such_knob": 1.0}, {"cpu": "x"}]
+    )
+    def test_bad_point_mid_batch_raises_the_uncompiled_error(self, evaluate, cls, bad):
+        if "coverage" in bad and "coverage" not in cls().parameters:
+            # a zero rate fails check_rate inside the chain fill
+            bad = {"raid_rebuild_rate": 0.0 if bad["coverage"] > 1 else -0.5}
+        points = random_points(cls, 3, seed=1) + [bad] + random_points(cls, 3, seed=2)
+        with pytest.raises(Exception) as uncompiled_exc:
+            for point in points:
+                evaluate(point)
+        with pytest.raises(type(uncompiled_exc.value)) as compiled_exc:
+            cls().evaluate_many(points)
+        assert str(compiled_exc.value) == str(uncompiled_exc.value)
+
+    @pytest.mark.parametrize("evaluate, cls", STACKED)
+    def test_non_float_values_take_the_per_point_path(self, evaluate, cls):
+        from fractions import Fraction
+
+        name = cls().parameters[0]
+        points = [{name: Fraction(1, 3000)}, {name: np.float32(2e-4)}, {name: 1}, {}]
+        batch = cls().evaluate_many(points)
+        assert [bits(v) for v in batch] == [bits(evaluate(p)) for p in points]

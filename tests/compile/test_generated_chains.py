@@ -130,3 +130,31 @@ def test_transient_bits_match(seed):
     p0[0] = 1.0
     ref = solve_transient(chain.generator(), p0, TIMES)
     assert got.tobytes() == ref.tobytes()
+
+
+def nearby_points(seed: int, values, n: int = 5):
+    """``values`` and ``n - 1`` perturbations of it, seeded."""
+    rng = random.Random(1000 + seed)
+    points = [values]
+    for _ in range(n - 1):
+        point = {name: values[name] * rng.uniform(0.5, 2.0) for name in PARAMS}
+        point["c"] = rng.uniform(0.05, 0.95)
+        points.append(point)
+    return points
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_stacked_steady_state_bits_match_gth_solve(seed, monkeypatch):
+    """One stacked GTH pass over five points equals ``gth_solve`` on each
+    point's uncompiled generator, bit for bit."""
+    from repro.markov.solvers import gth_solve
+
+    labels, transitions, values = generate(seed)
+    compiled = CompiledCTMC(labels, transitions)
+    points = nearby_points(seed, values)
+    # the stacked path must not fall back to the per-point solve
+    monkeypatch.setattr(CompiledCTMC, "steady_state", None)
+    stacked = compiled.steady_state_many(points)
+    for row, point in zip(stacked, points):
+        ref = gth_solve(uncompiled(labels, transitions, point).generator().toarray())
+        assert row.tobytes() == ref.tobytes()

@@ -224,3 +224,61 @@ class TestDependabilityAdapter:
         model = self.make()
         expected = model.steady_state_unavailability() * 525_600
         assert model.downtime_minutes_per_year() == pytest.approx(expected)
+
+
+def _birth_death_mttf(n, k, lam, mu):
+    """Exact MTTF of ``n`` units, one repair crew, up at ``>= k`` units.
+
+    ``t_i``, the mean time to go from ``i`` up units to ``i - 1``,
+    satisfies ``t_n = 1 / (n λ)`` and ``t_i = (1 + μ t_{i+1}) / (i λ)``;
+    the MTTF sums them down to ``k``, in rational arithmetic.
+    """
+    from fractions import Fraction
+
+    lam, mu = Fraction(lam), Fraction(mu)
+    t = 1 / (n * lam)
+    total = t
+    for i in range(n - 1, k - 1, -1):
+        t = (1 + mu * t) / (i * lam)
+        total += t
+    return float(total)
+
+
+class TestMTTFRedundantChains:
+    """MTTF keeps its digits where a linear solve of the up block cancels
+    (it returned 2.80e18 h against 4.31e24 h for 12 units, 3 needed)."""
+
+    @pytest.mark.parametrize("n, k", [(12, 3), (20, 2), (30, 2)])
+    def test_workstation_pool_matches_exact_recursion(self, n, k):
+        from repro.casestudies import wfs
+
+        params = wfs.WFSParameters(n_workstations=n, k_required=k)
+        exact = _birth_death_mttf(
+            n, k, params.workstation_failure_rate, params.workstation_repair_rate
+        )
+        assert wfs.build_workstation_pool(params).mttf() == pytest.approx(exact, rel=1e-12)
+
+    def test_large_chain_route_keeps_closed_form(self, monkeypatch):
+        from repro.markov.registry import POLICY
+
+        monkeypatch.setattr(POLICY, "gth_first_states", 1)
+        lam, mu = 0.001, 0.1
+        model = MarkovDependabilityModel(shared_repair(lam, mu), up_states=[2, 1], initial=2)
+        assert model.mttf() == pytest.approx((3 * lam + mu) / (2 * lam**2), rel=1e-9)
+
+    def test_initial_mass_on_down_states_counts_as_zero(self):
+        lam, mu = 0.001, 0.1
+        model = MarkovDependabilityModel(
+            shared_repair(lam, mu), up_states=[2, 1], initial={2: 0.5, 0: 0.5}
+        )
+        assert model.mttf() == pytest.approx(0.5 * (3 * lam + mu) / (2 * lam**2), rel=1e-9)
+
+    def test_up_state_that_cannot_fail_still_raises(self):
+        chain = CTMC()
+        chain.add_transition("a", "b", 1.0)
+        chain.add_transition("a", "down", 1.0)
+        chain.add_transition("down", "a", 1.0)
+        chain.add_transition("b", "c", 1.0)  # "c" is up and absorbing
+        model = MarkovDependabilityModel(chain, up_states=["a", "b", "c"], initial="a")
+        with pytest.raises(SolverError):
+            model.mttf()

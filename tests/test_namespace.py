@@ -61,10 +61,35 @@ class TestLazyExports:
         # the store, compiled evaluators, the daemon and the case studies
         # never need scipy.stats/integrate/optimize or networkx; every
         # worker process would pay ~0.9 s and ~50 MB for them (lint R011)
+        # (the case-study package imports its modules lazily, so each is
+        # imported by name)
         code = (
-            "import sys; import repro.store, repro.compile, repro.serve, "
-            "repro.casestudies; print(' '.join(m for m in ('scipy.stats', "
+            "import sys, importlib; import repro.store, repro.compile, repro.serve, "
+            "repro.casestudies as cs; [importlib.import_module('repro.casestudies.' + n) "
+            "for n in cs.__all__]; print(' '.join(m for m in ('scipy.stats', "
             "'scipy.integrate', 'scipy.optimize', 'networkx') if m in sys.modules))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"},
+            cwd=str(__import__("pathlib").Path(__file__).resolve().parent.parent),
+        )
+        assert out.stdout.split() == []
+
+    def test_compiled_campaign_path_skips_scipy_sparse_and_linalg(self):
+        # a campaign over a compiled small-chain evaluator needs numpy
+        # only; scipy.sparse and scipy.linalg would cost every harness
+        # and worker process ~30 MB and half its start-up time
+        code = (
+            "import sys\n"
+            "import repro.engine, repro.store, repro.compile, repro.casestudies.bladecenter\n"
+            "evaluator = repro.compile.CompiledBladeCenter()\n"
+            "evaluator({})\n"
+            "evaluator.evaluate_many([{'cpu_failure_rate': 1e-6 * (k + 1)} for k in range(25)])\n"
+            "print(' '.join(m for m in ('scipy.sparse', 'scipy.linalg') if m in sys.modules))\n"
         )
         out = subprocess.run(
             [sys.executable, "-c", code],

@@ -85,7 +85,22 @@ if [ "${1:-}" != "--no-tests" ]; then
     # An ordering dependence on set or dict hash order fails here instead
     # of hiding behind the default seed.
     PYTHONHASHSEED=1 python -m pytest -q tests/markov/test_policy_bit_identity.py \
-        tests/markov/test_hash_seed.py || status=1
+        tests/markov/test_hash_seed.py tests/compile/test_compiled_models.py \
+        tests/compile/test_generated_chains.py || status=1
+
+    echo "== identity guardrails under benchmarks/ (outside pytest's testpaths) =="
+    # Compiled batch vs per-point bits, and a store killed mid-campaign or
+    # shared by two workers resuming to the bytes of a clean run.  They
+    # run for their assertions: the BENCH record they would rewrite in
+    # part is put back afterwards.
+    kept="$(mktemp -d)"
+    cp benchmarks/BENCH_e33.json benchmarks/BENCH_e36.json "$kept"/
+    python -m pytest -q benchmarks/bench_e33_compile.py::test_evaluate_many_matches_per_point_calls \
+        benchmarks/bench_e36_store.py::test_kill_at_half_resume_bit_identical \
+        benchmarks/bench_e36_store.py::test_two_workers_share_one_store_without_duplicates \
+        || status=1
+    cp "$kept"/BENCH_e33.json "$kept"/BENCH_e36.json benchmarks/
+    rm -rf "$kept"
 
     echo "== pytest =="
     python -m pytest -q || status=1
